@@ -6,26 +6,31 @@ import (
 	"testing"
 )
 
-// goldenIDs are the experiments pinned byte-for-byte. They are the
-// ones that together cover every timing-sensitive layer new features
-// get threaded through: E1 (bus control-plane init, all flavors), E2
-// (NIC/virtqueue/SSD data plane under load), E9 (doorbell batching —
-// virtqueue event timing), E10 (bus speed sensitivity — wire and
-// processing latency), E15 (crash-restart-rejoin chaos schedules), E16
-// (overload ramps), E17 (rack-scale fabric scaling and kill chaos,
-// run with NO reconciler attached — pinning it proves the E19
-// reconcile layer is byte-invisible until Attach is called) and E20
-// (the adversarial-tenancy matrix — pinning it proves both that the
-// attack runs are reproducible per seed AND, together with the other
-// goldens all running tenancy-off, that the tenancy hooks compiled
-// into bus/NIC/KVS/IOMMU are byte-invisible until a registry is
-// configured) and E21 (the split-brain matrix — the only golden that
-// runs with epoch leases ON, pinning the lease/fence/detector timing
-// itself; the leases-OFF goldens E17/E19 prove the lease hooks are
+// goldenIDs are the experiments pinned byte-for-byte: all twenty
+// tables (E18 is unassigned). A reader can only trust that a
+// refactor left the model alone if every table it could shift is
+// pinned, so the list is exhaustive rather than a covering sample.
+// Notable coverage: E1 (bus control-plane init, all flavors), E2
+// (NIC/virtqueue/SSD data plane under load), E3-E8 (the centralized
+// kernel's syscall, registry, mmap, interrupt and copy costs against
+// the CPU-less flavors), E9 (doorbell batching), E10 (bus speed
+// sensitivity), E11-E13 (NIC value cache, demand paging, IOMMU huge
+// pages), E14 (seeded message loss), E15 (crash-restart-rejoin chaos),
+// E16 (overload ramps), E17 (rack-scale fabric run with NO reconciler
+// attached — pinning it proves the reconcile layer is byte-invisible
+// until Attach is called), E19 (the only table that drives the
+// reconciler's repair/probe/bound timing and fabric spares and rolling
+// upgrades), E20 (the adversarial-tenancy matrix — together with the
+// other goldens all running tenancy-off it proves the tenancy hooks are
+// byte-invisible until a registry is configured) and E21 (the
+// split-brain matrix — the only golden that runs with epoch leases ON;
+// the leases-OFF goldens E17/E19 prove the lease hooks are
 // byte-invisible until Config.Leases is set). Any accidental event,
-// cost, or ordering change from a feature that should be gated off
-// shifts at least one of these tables.
-var goldenIDs = []string{"E1", "E2", "E9", "E10", "E15", "E16", "E17", "E20", "E21"}
+// cost, or ordering change shifts at least one of these tables.
+var goldenIDs = []string{
+	"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11",
+	"E12", "E13", "E14", "E15", "E16", "E17", "E19", "E20", "E21",
+}
 
 // TestTablesGolden asserts the pinned experiment tables are byte-
 // identical to the recorded goldens. The overload defenses (credit flow
