@@ -1,6 +1,7 @@
 # Build/verification entry points. `make check` is the full gate used
-# before merging: vet, the nocpu-lint analyzer suite, build, race-enabled
-# tests, a short fuzz run of the wire-format decoder, the E15 chaos tier
+# before merging: vet (of the repository and of the perfbench module),
+# the nocpu-lint analyzer suite, build, race-enabled tests, a short
+# fuzz run of the wire-format decoder, the E15 chaos tier
 # (seeded crash schedules under race), the E16 overload tier (seeded
 # open-loop load ramps under race), the E17 fabric tier (rack-scale
 # determinism, ring properties and machine-kill chaos under race),
@@ -13,7 +14,7 @@
 
 GO ?= go
 
-.PHONY: build test vet lint allows race fuzz chaos overload fabric reconcile tenancy partition benchguard check bench tables
+.PHONY: build test vet benchvet lint allows race fuzz chaos overload fabric reconcile tenancy partition benchguard check bench tables
 
 build:
 	$(GO) build ./...
@@ -23,6 +24,12 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# The benchmark (perfbench/) is its own module, so the root ./... never
+# compiles it; vetting it here catches an internal API change that
+# would break the benchmark build.
+benchvet:
+	cd perfbench && $(GO) vet ./...
 
 # Custom determinism/decentralization/wire-compat analyzers
 # (internal/lint), run via the go vet -vettool protocol. See
@@ -107,7 +114,7 @@ partition:
 benchguard:
 	NOCPU_BENCH_GUARD=1 $(GO) test -run 'TestE17BenchGuard' -count=1 ./internal/exp -v
 
-check: vet lint build race fuzz chaos overload fabric reconcile tenancy partition
+check: vet benchvet lint build race fuzz chaos overload fabric reconcile tenancy partition
 
 bench:
 	$(GO) test -run=^$$ -bench . -benchtime=100x .

@@ -74,9 +74,10 @@ type Config struct {
 	Costs  Costs
 	// CellSize for transform queues.
 	CellSize int
-	// Engines is the number of parallel compute engines.
-	Engines int
 }
+
+// engines is the number of parallel compute engines.
+const engines = 2
 
 // Stats counts accelerator activity.
 type Stats struct {
@@ -111,9 +112,6 @@ func New(eng *sim.Engine, b *bus.Bus, fab *interconnect.Fabric, tr *trace.Tracer
 	if cfg.CellSize == 0 {
 		cfg.CellSize = 4096 + 16
 	}
-	if cfg.Engines <= 0 {
-		cfg.Engines = 2
-	}
 	cfg.Device.Role = msg.RoleAccelerator
 	d, err := device.New(eng, b, fab, tr, cfg.Device)
 	if err != nil {
@@ -123,7 +121,7 @@ func New(eng *sim.Engine, b *bus.Bus, fab *interconnect.Fabric, tr *trace.Tracer
 		dev:   d,
 		cfg:   cfg,
 		eng:   eng,
-		pool:  sim.NewPool(eng, cfg.Engines),
+		pool:  sim.NewPool(eng, engines),
 		conns: make(map[uint32]*conn),
 	}
 	d.AddService(&xformService{a: a})

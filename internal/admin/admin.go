@@ -5,10 +5,11 @@
 // performed by an authentication service running on any device."
 //
 // The admin console is itself just an application offloaded to the smart
-// NIC: it authenticates operator requests by token, reads log files from
-// the smart SSD over the ordinary data plane, reports device statistics,
-// and forwards authenticated image uploads to device loader services
-// (§2.1). Nothing about management requires a CPU either.
+// NIC: it authenticates operator requests by token, answers pings,
+// reports the size and tail of a log file it reads from the smart SSD
+// over the ordinary data plane, and forwards authenticated image uploads
+// to device loader services (§2.1). Nothing about management requires a
+// CPU either.
 package admin
 
 import (

@@ -40,25 +40,10 @@ import (
 	"nocpu/internal/virtio"
 )
 
-// Config tunes the CPU and kernel cost model.
+// Config configures the CPU and its kernel.
 type Config struct {
-	ID    msg.DeviceID
-	Name  string
-	Cores int
-	// SyscallCost is trap + kernel entry/exit + dispatch.
-	SyscallCost sim.Duration
-	// RegistryCost is a kernel name-table lookup.
-	RegistryCost sim.Duration
-	// MmapPerPage is kernel frame allocation + one IOMMU PTE store.
-	MmapPerPage sim.Duration
-	// InterruptCost is a device-completion interrupt (kernel-mediated
-	// I/O pays one per completion).
-	InterruptCost sim.Duration
-	// CopyBytesPerNs is kernel memcpy bandwidth for mediated I/O.
-	CopyBytesPerNs float64
-	// QueueEntries sizes the kernel's own device queues.
-	QueueEntries uint16
-	IOMMU        iommu.Config
+	ID   msg.DeviceID
+	Name string
 	// HeartbeatEvery makes the kernel heartbeat on the management
 	// transport, so a bus watchdog can detect a kernel panic. 0 (the
 	// default) sends none — required for machines without a watchdog.
@@ -73,16 +58,23 @@ type Config struct {
 	IOBacklogBound int
 }
 
-// DefaultConfig models a competent kernel on a server CPU.
-var DefaultConfig = Config{
-	Cores:          4,
-	SyscallCost:    1500 * sim.Nanosecond,
-	RegistryCost:   300 * sim.Nanosecond,
-	MmapPerPage:    250 * sim.Nanosecond,
-	InterruptCost:  1000 * sim.Nanosecond,
-	CopyBytesPerNs: 8,
-	QueueEntries:   128,
-}
+// The kernel cost model: a competent kernel on a server CPU.
+const (
+	kernelCores = 4
+	// syscallCost is trap + kernel entry/exit + dispatch.
+	syscallCost = 1500 * sim.Nanosecond
+	// registryCost is a kernel name-table lookup.
+	registryCost = 300 * sim.Nanosecond
+	// mmapPerPage is kernel frame allocation + one IOMMU PTE store.
+	mmapPerPage = 250 * sim.Nanosecond
+	// interruptCost is a device-completion interrupt (kernel-mediated
+	// I/O pays one per completion).
+	interruptCost = 1000 * sim.Nanosecond
+	// copyBytesPerNs is kernel memcpy bandwidth for mediated I/O.
+	copyBytesPerNs = 8.0
+	// queueEntries sizes the kernel's own device queues.
+	queueEntries = 128
+)
 
 // Stats counts kernel activity.
 type Stats struct {
@@ -188,34 +180,13 @@ const ioWindow = 256
 
 // New builds the CPU and attaches it to the bus and fabric.
 func New(eng *sim.Engine, b *bus.Bus, fab *interconnect.Fabric, tr *trace.Tracer, cfg Config) (*CPU, error) {
-	if cfg.Cores <= 0 {
-		cfg.Cores = DefaultConfig.Cores
-	}
-	if cfg.SyscallCost == 0 {
-		cfg.SyscallCost = DefaultConfig.SyscallCost
-	}
-	if cfg.RegistryCost == 0 {
-		cfg.RegistryCost = DefaultConfig.RegistryCost
-	}
-	if cfg.MmapPerPage == 0 {
-		cfg.MmapPerPage = DefaultConfig.MmapPerPage
-	}
-	if cfg.InterruptCost == 0 {
-		cfg.InterruptCost = DefaultConfig.InterruptCost
-	}
-	if cfg.CopyBytesPerNs == 0 {
-		cfg.CopyBytesPerNs = DefaultConfig.CopyBytesPerNs
-	}
-	if cfg.QueueEntries == 0 {
-		cfg.QueueEntries = DefaultConfig.QueueEntries
-	}
 	c := &CPU{
 		eng:            eng,
 		cfg:            cfg,
 		tr:             tr,
 		mem:            fab.Memory(),
-		mmu:            iommu.New(cfg.Name, fab.Memory(), cfg.IOMMU),
-		cores:          sim.NewPool(eng, cfg.Cores),
+		mmu:            iommu.New(cfg.Name, fab.Memory(), iommu.DefaultConfig),
+		cores:          sim.NewPool(eng, kernelCores),
 		iommus:         make(map[msg.DeviceID]*iommu.IOMMU),
 		registry:       make(map[string]msg.DeviceID),
 		appVA:          make(map[msg.AppID]uint64),
@@ -572,7 +543,7 @@ func (c *CPU) vaFor(app msg.AppID, bytes uint64) uint64 {
 // ("mediated:X").
 func (c *CPU) sysOpen(src msg.DeviceID, m *msg.OpenReq) {
 	c.stats.Syscalls++
-	c.cores.Submit(c.cfg.SyscallCost+c.cfg.RegistryCost, func() {
+	c.cores.Submit(syscallCost+registryCost, func() {
 		if done, ok := c.completedOpens[openKey{m.App, m.Service}]; ok {
 			// Retransmitted open (lost response): replay the recorded
 			// verdict rather than mmap a second region.
@@ -622,7 +593,7 @@ func (c *CPU) onDeviceOpenResp(dev msg.DeviceID, m *msg.OpenResp) {
 	// Direct mode: kernel performs the mmap + grant in one step, mapping
 	// the region into both the app's device and the provider.
 	cellSize := cellSizeFromQuote(m.SharedBytes, 128)
-	lay := virtio.NewLayout(0, c.cfg.QueueEntries, cellSize)
+	lay := virtio.NewLayout(0, queueEntries, cellSize)
 	bytes := uint64(lay.DataVA) + uint64(lay.DataBytes())
 	va := c.vaFor(m.App, bytes)
 	appMMU, ok1 := c.iommus[st.origin]
@@ -632,7 +603,7 @@ func (c *CPU) onDeviceOpenResp(dev msg.DeviceID, m *msg.OpenResp) {
 		return
 	}
 	pages := int((bytes + physmem.PageSize - 1) / physmem.PageSize)
-	c.cores.Submit(sim.Duration(2*pages)*c.cfg.MmapPerPage, func() {
+	c.cores.Submit(sim.Duration(2*pages)*mmapPerPage, func() {
 		if _, err := c.mapRegion(m.App, va, bytes, []*iommu.IOMMU{appMMU, devMMU}); err != nil {
 			c.port.Send(st.origin, &msg.OpenResp{Service: st.service, App: m.App, OK: false, Reason: err.Error()})
 			return
@@ -650,7 +621,7 @@ func (c *CPU) onDeviceOpenResp(dev msg.DeviceID, m *msg.OpenResp) {
 // sysConnect forwards a direct-mode connect syscall to the provider.
 func (c *CPU) sysConnect(src msg.DeviceID, m *msg.ConnectReq) {
 	c.stats.Syscalls++
-	c.cores.Submit(c.cfg.SyscallCost, func() {
+	c.cores.Submit(syscallCost, func() {
 		name, ok := cutPrefix(m.Service, "file:")
 		if !ok {
 			c.port.Send(src, &msg.ConnectResp{ConnID: m.ConnID, OK: false, Reason: "unknown service class"})
@@ -684,7 +655,7 @@ func (c *CPU) onDeviceConnectResp(dev msg.DeviceID, m *msg.ConnectResp) {
 // sysClose forwards a close syscall.
 func (c *CPU) sysClose(src msg.DeviceID, m *msg.CloseReq) {
 	c.stats.Syscalls++
-	c.cores.Submit(c.cfg.SyscallCost, func() {
+	c.cores.Submit(syscallCost, func() {
 		if kf, ok := c.kernelConns[m.ConnID]; ok {
 			delete(c.kernelConns, m.ConnID)
 			_ = kf
@@ -711,16 +682,16 @@ func (c *CPU) openMediated(dev msg.DeviceID, st *openState, m *msg.OpenResp) {
 		return
 	}
 	cellSize := cellSizeFromQuote(m.SharedBytes, 128)
-	lay0 := virtio.NewLayout(0, c.cfg.QueueEntries, cellSize)
+	lay0 := virtio.NewLayout(0, queueEntries, cellSize)
 	bytes := uint64(lay0.DataVA) + uint64(lay0.DataBytes())
 	va := c.vaFor(m.App, bytes)
 	pages := int((bytes + physmem.PageSize - 1) / physmem.PageSize)
-	c.cores.Submit(sim.Duration(2*pages)*c.cfg.MmapPerPage, func() {
+	c.cores.Submit(sim.Duration(2*pages)*mmapPerPage, func() {
 		if _, err := c.mapRegion(m.App, va, bytes, []*iommu.IOMMU{c.mmu, devMMU}); err != nil {
 			c.port.Send(st.origin, &msg.OpenResp{Service: st.service, App: m.App, OK: false, Reason: err.Error()})
 			return
 		}
-		lay := virtio.NewLayout(iommu.VirtAddr(va), c.cfg.QueueEntries, cellSize)
+		lay := virtio.NewLayout(iommu.VirtAddr(va), queueEntries, cellSize)
 		drv, err := virtio.NewDriver(c.dma, iommu.PASID(m.App), lay, 0)
 		if err != nil {
 			c.port.Send(st.origin, &msg.OpenResp{Service: st.service, App: m.App, OK: false, Reason: err.Error()})
@@ -756,7 +727,7 @@ func (c *CPU) openMediated(dev msg.DeviceID, st *openState, m *msg.OpenResp) {
 			ConnID:       m.ConnID,
 			App:          m.App,
 			RingVA:       uint64(lay.Base),
-			RingEntries:  c.cfg.QueueEntries,
+			RingEntries:  queueEntries,
 			DataVA:       uint64(lay.DataVA),
 			DataBytes:    uint64(lay.DataBytes()),
 			RespDoorbell: uint64(drv.RespBell),
@@ -814,9 +785,9 @@ func (c *CPU) sysFileIO(src msg.DeviceID, m *msg.FileIOReq) {
 		complete(&msg.FileIOResp{App: m.App, Handle: m.Handle, Seq: m.Seq, Status: uint8(status)})
 	}
 	// Copy-in for writes (app buffer -> kernel page cache).
-	inCopy := sim.Duration(float64(len(m.Data)) / c.cfg.CopyBytesPerNs)
+	inCopy := sim.Duration(float64(len(m.Data)) / copyBytesPerNs)
 	c.stats.BytesCopied += uint64(len(m.Data))
-	c.cores.Submit(c.cfg.SyscallCost+inCopy, func() {
+	c.cores.Submit(syscallCost+inCopy, func() {
 		req := smartssd.FileReq{Op: smartssd.FileOp(m.Op), Off: m.Off, Len: m.Len, Data: m.Data}
 		err := kf.drv.Submit(smartssd.EncodeFileReq(req), func(respBytes []byte, err error) {
 			if err != nil {
@@ -829,10 +800,10 @@ func (c *CPU) sysFileIO(src msg.DeviceID, m *msg.FileIOReq) {
 				return
 			}
 			// Completion interrupt + copy-out (kernel -> app buffer).
-			outCopy := sim.Duration(float64(len(resp.Data)) / c.cfg.CopyBytesPerNs)
+			outCopy := sim.Duration(float64(len(resp.Data)) / copyBytesPerNs)
 			c.stats.BytesCopied += uint64(len(resp.Data))
 			c.stats.Interrupts++
-			c.cores.Submit(c.cfg.InterruptCost+outCopy, func() {
+			c.cores.Submit(interruptCost+outCopy, func() {
 				complete(&msg.FileIOResp{
 					App: m.App, Handle: m.Handle, Seq: m.Seq,
 					Status: uint8(resp.Status), Size: resp.Size, Data: resp.Data,
@@ -878,7 +849,7 @@ func (c *CPU) sysMmap(src msg.DeviceID, m *msg.AllocReq) {
 		return
 	}
 	pages := int((m.Bytes + physmem.PageSize - 1) / physmem.PageSize)
-	c.cores.Submit(c.cfg.SyscallCost+sim.Duration(pages)*c.cfg.MmapPerPage, func() {
+	c.cores.Submit(syscallCost+sim.Duration(pages)*mmapPerPage, func() {
 		pasid := iommu.PASID(m.App)
 		if !mmu.HasContext(pasid) {
 			if err := mmu.CreateContext(pasid); err != nil {
@@ -926,7 +897,7 @@ func (c *CPU) sysMunmap(src msg.DeviceID, m *msg.FreeReq) {
 	}
 	mmu := c.iommus[src]
 	pages := len(rec.frames)
-	c.cores.Submit(c.cfg.SyscallCost+sim.Duration(pages)*c.cfg.MmapPerPage, func() {
+	c.cores.Submit(syscallCost+sim.Duration(pages)*mmapPerPage, func() {
 		pasid := iommu.PASID(m.App)
 		for i, f := range rec.frames {
 			_ = mmu.Unmap(pasid, iommu.VirtAddr(m.VA+uint64(i)*physmem.PageSize))

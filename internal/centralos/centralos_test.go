@@ -281,7 +281,7 @@ func TestKernelMmapChargesCPUTime(t *testing.T) {
 		t.Fatal("no response")
 	}
 	// Must include at least syscall + 64 pages of mmap work.
-	minWork := DefaultConfig.SyscallCost + 64*DefaultConfig.MmapPerPage
+	minWork := syscallCost + 64*mmapPerPage
 	if got := cb.eng.Now().Sub(start); got < minWork {
 		t.Fatalf("mmap took %v, below kernel work %v", got, minWork)
 	}

@@ -85,8 +85,6 @@ type Options struct {
 	// Watchdog enables the bus watchdog and device heartbeats at
 	// watchdog/4.
 	Watchdog sim.Duration
-	// TraceLimit caps the tracer (0 = unlimited).
-	TraceLimit int
 	// NoTrace disables tracing entirely (benchmarks).
 	NoTrace bool
 	// ExtraSSDs and ExtraNICs add more devices at construction.
@@ -171,7 +169,7 @@ func New(opts Options) (*System, error) {
 		Rand: sim.NewRand(opts.Seed ^ 0x6e6f637075), // "nocpu"
 	}
 	if !opts.NoTrace {
-		s.Tracer = trace.New(opts.TraceLimit)
+		s.Tracer = trace.New(0)
 	}
 	var err error
 	s.Mem, err = physmem.New(opts.MemoryBytes)
@@ -447,8 +445,6 @@ type KVSOptions struct {
 	Mediated bool
 	// QueueEntries sizes the virtqueue (default 64).
 	QueueEntries uint16
-	// NIC selects which NIC hosts the app (default the first).
-	NIC int
 	// InflightBound caps the store's admitted-but-unreplied requests
 	// (kvs.Config.InflightBound; 0 = unbounded).
 	InflightBound int
@@ -457,7 +453,7 @@ type KVSOptions struct {
 }
 
 // NewKVS builds a KVS store wired for this system's flavor and loads it
-// onto the NIC. Wait for readiness with WaitReady.
+// onto the first NIC. Wait for readiness with WaitReady.
 func (s *System) NewKVS(o KVSOptions) *kvs.Store {
 	cfg := kvs.Config{
 		App:           o.App,
@@ -480,7 +476,7 @@ func (s *System) NewKVS(o KVSOptions) *kvs.Store {
 		cfg.Memctrl = ControlID
 	}
 	store := kvs.New(cfg)
-	s.NICs[o.NIC].AddApp(store)
+	s.NIC().AddApp(store)
 	return store
 }
 

@@ -34,7 +34,7 @@ import (
 // latency, which is identical for both. Replicated writes are measured
 // by the preload and stressed by the chaos table. The chaos client op
 // timeout must exceed the fabric's in-system write lifetime (ingress
-// forwarding gives up after the router's 10ms OpTimeout) so per-key
+// forwarding gives up after the router's 10ms DefaultOpTimeout) so per-key
 // order is preserved across driver retries.
 const (
 	e17ValSize     = 64

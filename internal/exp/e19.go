@@ -239,15 +239,11 @@ func e19SafePair(cl *fabric.Cluster, keys []string) (msg.DeviceID, msg.DeviceID)
 			dead[id] = true
 		}
 	}
-	reps := cl.Cfg.Replicas
-	if reps <= 0 {
-		reps = DefaultReplicasE19
-	}
-	ring := fabric.NewRing(cl.Machine(serving[0]).Router.RingMembers(), cl.Cfg.Vnodes)
+	ring := fabric.NewRing(cl.Machine(serving[0]).Router.RingMembers())
 	replicaPair := make(map[[2]msg.DeviceID]bool)
 	soleOwner := make(map[msg.DeviceID]bool)
 	for _, k := range keys {
-		own := ring.Owners(k, dead, reps)
+		own := ring.Owners(k, dead, fabric.DefaultReplicas)
 		switch len(own) {
 		case 1:
 			soleOwner[own[0]] = true
@@ -272,10 +268,6 @@ func e19SafePair(cl *fabric.Cluster, keys []string) (msg.DeviceID, msg.DeviceID)
 	}
 	return 0, 0
 }
-
-// DefaultReplicasE19 mirrors the fabric's replica default for the
-// safe-pair scan when the cluster config left it zero.
-const DefaultReplicasE19 = 2
 
 // e19Row is one campaign's outcome.
 type e19Row struct {

@@ -51,7 +51,7 @@ const (
 	e21HealAt  = 25 * sim.Millisecond // partition schedules heal here
 	e21SlowFor = 25 * sim.Millisecond // fail-slow degradation window
 
-	e21FlapUp     = 1 * sim.Millisecond // cut shorter than FailTimeout:
+	e21FlapUp     = 1 * sim.Millisecond // cut shorter than DefaultFailTimeout:
 	e21FlapPeriod = 3 * sim.Millisecond // a gray failure, not a death
 	e21FlapCycles = 6
 
@@ -318,9 +318,9 @@ type e21Row struct {
 	tmouts     uint64
 	maybes     uint64
 
-	lin        linearize.Result
-	splits     int
-	worstZero  sim.Duration
+	lin       linearize.Result
+	splits    int
+	worstZero sim.Duration
 	rep       fabric.Report
 	st        fabric.RouterStats
 	maxEpoch  uint32

@@ -19,7 +19,7 @@ import (
 // Timeout soundness: a worker reuses a key only after the previous
 // write to it resolved (ack, error, or client timeout). The client
 // timeout (25ms) exceeds the worst in-system lifetime of a write —
-// ingress forwarding gives up after OpTimeout (10ms), and an already-
+// ingress forwarding gives up after DefaultOpTimeout (10ms), and an already-
 // forwarded request is applied within microseconds of arrival or
 // dropped forever (dead machine / dead-set fencing) — so per-key apply
 // order equals issue order and the ledger's value ordering is sound.
@@ -35,7 +35,7 @@ const (
 	// fcRecoveryBound caps the window from a machine kill to the next
 	// acknowledged op: unreachable detection is one RTT and failover is a
 	// view change plus one re-route, so even the head-node flavor's
-	// heartbeat path (FailTimeout 4ms + sweep) fits with slack.
+	// heartbeat path (DefaultFailTimeout 4ms + sweep) fits with slack.
 	fcRecoveryBound = 25 * sim.Millisecond
 )
 

@@ -22,7 +22,6 @@ const (
 // NetConfig parameterizes the modeled datacenter network.
 type NetConfig struct {
 	LinkLatency sim.Duration // per-frame base latency (default 2µs)
-	PerByte     sim.Duration // serialization cost per frame byte (default 1ns)
 	// Plane, when non-nil, injects link faults (drop/delay/dup/reorder)
 	// on LayerLink; whole-machine crashes are the cluster's job.
 	Plane *faultinject.Plane
@@ -65,9 +64,6 @@ func newNetwork(eng *sim.Engine, cfg NetConfig) *Network {
 	if cfg.LinkLatency == 0 {
 		cfg.LinkLatency = DefaultLinkLatency
 	}
-	if cfg.PerByte == 0 {
-		cfg.PerByte = DefaultPerByte
-	}
 	return &Network{eng: eng, cfg: cfg, linkSeq: make(map[[2]msg.DeviceID]uint32)}
 }
 
@@ -90,7 +86,7 @@ func (n *Network) Send(src, dst msg.DeviceID, epoch uint32, m msg.Message) {
 	env := msg.Envelope{Src: src, Dst: dst, Seq: n.linkSeq[link], Inc: epoch, Msg: m}
 	frame := append([]byte{frameMagic}, env.Encode()...)
 
-	lat := n.cfg.LinkLatency + sim.Duration(len(frame))*n.cfg.PerByte
+	lat := n.cfg.LinkLatency + sim.Duration(len(frame))*DefaultPerByte
 	copies := 1
 	if d := n.cfg.Plane.Filter(faultinject.LayerLink, n.eng.Now(), src, dst, m.Kind()); d.Op != faultinject.Pass {
 		switch d.Op {
@@ -116,7 +112,7 @@ func (n *Network) Send(src, dst msg.DeviceID, epoch uint32, m msg.Message) {
 	for c := 0; c < copies; c++ {
 		// The duplicate trails the original by one serialization slot; it
 		// carries the same link seq, so the receiver's window eats it.
-		n.eng.After(lat+sim.Duration(c)*n.cfg.PerByte, func() {
+		n.eng.After(lat+sim.Duration(c)*DefaultPerByte, func() {
 			if !n.alive(dst) {
 				n.stats.Vanished++
 				return

@@ -84,17 +84,14 @@ func vnodeHash(m msg.DeviceID, v int) uint64 {
 	}))
 }
 
-// NewRing builds the ring over the given machines with vnodes points
-// each (DefaultVnodes if vnodes <= 0).
-func NewRing(machines []msg.DeviceID, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVnodes
-	}
+// NewRing builds the ring over the given machines with DefaultVnodes
+// points each.
+func NewRing(machines []msg.DeviceID) *Ring {
 	ms := append([]msg.DeviceID(nil), machines...)
 	sort.Slice(ms, func(i, j int) bool { return ms[i] < ms[j] })
 	r := &Ring{machines: ms}
 	for _, m := range ms {
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < DefaultVnodes; v++ {
 			r.points = append(r.points, point{hash: vnodeHash(m, v), machine: m})
 		}
 	}

@@ -20,7 +20,7 @@ func ringMachines(n int) []msg.DeviceID {
 // distinct live machines, for every cluster size and under deaths.
 func TestRingFullCoverage(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 8, 16, 64} {
-		r := NewRing(ringMachines(n), 0)
+		r := NewRing(ringMachines(n))
 		for i := 0; i < 500; i++ {
 			key := fmt.Sprintf("cov-%05d", i)
 			own := r.Owners(key, nil, 2)
@@ -41,7 +41,7 @@ func TestRingFullCoverage(t *testing.T) {
 // TestRingDeadExcluded: dead machines never own anything; killing a
 // machine only moves the keys it owned.
 func TestRingDeadExcluded(t *testing.T) {
-	r := NewRing(ringMachines(8), 0)
+	r := NewRing(ringMachines(8))
 	dead := map[msg.DeviceID]bool{3: true, 5: true}
 	for i := 0; i < 500; i++ {
 		key := fmt.Sprintf("dead-%05d", i)
@@ -66,7 +66,7 @@ func TestRingImbalanceUnderZipf(t *testing.T) {
 		slack   = 2.5
 	)
 	for _, n := range []int{4, 16, 64} {
-		r := NewRing(ringMachines(n), 0)
+		r := NewRing(ringMachines(n))
 		for _, theta := range []float64{0, 0.9, 1.2} {
 			rng := sim.NewRand(uint64(n)<<8 | uint64(theta*10))
 			z := sim.NewZipf(rng, nKeys, theta)
@@ -103,7 +103,7 @@ func TestRingImbalanceUnderZipf(t *testing.T) {
 // it owned — every key whose old primary survives keeps that primary.
 func TestRingMinimalMovementOnLeave(t *testing.T) {
 	const nKeys = 2000
-	r := NewRing(ringMachines(16), 0)
+	r := NewRing(ringMachines(16))
 	victim := msg.DeviceID(7)
 	dead := map[msg.DeviceID]bool{victim: true}
 	moved := 0
@@ -132,8 +132,8 @@ func TestRingMinimalMovementOnLeave(t *testing.T) {
 // itself — no key moves between two pre-existing machines.
 func TestRingMinimalMovementOnJoin(t *testing.T) {
 	const nKeys = 2000
-	small := NewRing(ringMachines(8), 0)
-	big := NewRing(ringMachines(9), 0) // machine 9 joined
+	small := NewRing(ringMachines(8))
+	big := NewRing(ringMachines(9)) // machine 9 joined
 	stolen := 0
 	for i := 0; i < nKeys; i++ {
 		key := fmt.Sprintf("join-%05d", i)
@@ -153,9 +153,9 @@ func TestRingMinimalMovementOnJoin(t *testing.T) {
 
 // TestRingDeterministic: same membership, same ring, same answers.
 func TestRingDeterministic(t *testing.T) {
-	a := NewRing(ringMachines(32), 0)
+	a := NewRing(ringMachines(32))
 	b := NewRing([]msg.DeviceID{32, 31, 30, 29, 28, 27, 26, 25, 24, 23, 22, 21, 20, 19, 18, 17,
-		16, 15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1}, 0) // same set, reversed input order
+		16, 15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1}) // same set, reversed input order
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("det-%05d", i)
 		ao, bo := a.Owners(key, nil, 2), b.Owners(key, nil, 2)

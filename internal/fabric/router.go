@@ -18,7 +18,7 @@ const (
 	RouterApp msg.AppID = 2
 )
 
-// Router tuning defaults.
+// Router tuning.
 const (
 	DefaultReplicas       = 2
 	DefaultRepRetry       = 500 * sim.Microsecond
@@ -29,14 +29,23 @@ const (
 	// DefaultUpgradeDelay models flashing a config/firmware version onto
 	// an out-of-ring machine (fleet reconciliation only).
 	DefaultUpgradeDelay = 2 * sim.Millisecond
-	// Epoch-lease defaults (Config.Leases). The lease must be shorter
+	// Epoch-lease timing (Config.Leases). The lease must be shorter
 	// than the failure-detection timeout: by the time a majority has
 	// declared a machine dead and stopped countersigning, every lease it
 	// ever held has lapsed, so the promoted primary's takeover fence
-	// (leaseDur + failAfter past the promotion) outlives the old
-	// primary's authority.
+	// (DefaultLeaseDuration + DefaultFailTimeout past the promotion)
+	// outlives the old primary's authority. A holder renews before its
+	// lease lapses, so the renew interval must be shorter than the lease.
 	DefaultLeaseDuration   = 2 * sim.Millisecond
 	DefaultLeaseRenewEvery = 500 * sim.Microsecond
+)
+
+// Compile-time check of the lease ordering above: each difference is
+// negative, and so fails to convert to uint64, if its inequality
+// breaks, and fencing is no longer safe.
+const (
+	_ = uint64(DefaultFailTimeout - DefaultLeaseDuration - 1)
+	_ = uint64(DefaultLeaseDuration - DefaultLeaseRenewEvery - 1)
 )
 
 // RouterStats counts one machine's fabric activity.
@@ -51,7 +60,7 @@ type RouterStats struct {
 	SoloAcks    uint64 // writes acked with no live backup in view
 	Shed        uint64 // writes refused at the per-key pipeline bound
 	ViewChanges uint64
-	Timeouts    uint64 // pending client ops that hit OpTimeout
+	Timeouts    uint64 // pending client ops that hit DefaultOpTimeout
 	Reroutes    uint64 // ops re-sent after a WrongOwner redirect
 
 	// Fleet-reconciliation activity (all zero unless a reconciler drives
@@ -74,21 +83,11 @@ type RouterStats struct {
 	SilenceDeaths uint64 // peers declared dead by the inbound-silence detector
 }
 
-// routerConfig is assembled by the Cluster from its Config.
+// routerConfig is what varies between the routers of a Cluster.
 type routerConfig struct {
-	id           msg.DeviceID
-	head         msg.DeviceID // 0 = decentralized membership
-	replicas     int
-	vnodes       int
-	repRetry     sim.Duration
-	opTimeout    sim.Duration
-	hbEvery      sim.Duration
-	failAfter    sim.Duration
-	upgradeDelay sim.Duration
-	writeBound   int
-	leases       bool
-	leaseDur     sim.Duration
-	leaseRenew   sim.Duration
+	id     msg.DeviceID
+	head   msg.DeviceID // 0 = decentralized membership
+	leases bool
 }
 
 // pendingReq is a client op forwarded to another machine, awaiting its
@@ -230,16 +229,16 @@ type ControlAgent interface {
 
 func newRouter(cl *Cluster, cfg routerConfig, ring *Ring, store *kvs.Store, eng *sim.Engine) *Router {
 	return &Router{
-		cfg:      cfg,
-		cl:       cl,
-		ring:     ring,
-		store:    store,
-		eng:      eng,
-		confVer:  1,
-		dead:     make(map[msg.DeviceID]bool),
-		pending:  make(map[uint64]*pendingReq),
-		gates:    make(map[string]*keyGate),
-		inflight: make(map[uint64]*writeTask),
+		cfg:       cfg,
+		cl:        cl,
+		ring:      ring,
+		store:     store,
+		eng:       eng,
+		confVer:   1,
+		dead:      make(map[msg.DeviceID]bool),
+		pending:   make(map[uint64]*pendingReq),
+		gates:     make(map[string]*keyGate),
+		inflight:  make(map[uint64]*writeTask),
 		wm:        make(map[string]watermark),
 		lastBeat:  make(map[msg.DeviceID]sim.Time),
 		lastHeard: make(map[msg.DeviceID]sim.Time),
@@ -280,7 +279,7 @@ func (r *Router) Boot(rt *smartnic.Runtime) {
 	r.rt = rt
 	if r.cfg.leases {
 		if r.InRing() {
-			r.leaseUntil = r.eng.Now().Add(r.cfg.leaseDur)
+			r.leaseUntil = r.eng.Now().Add(DefaultLeaseDuration)
 		}
 		r.armLease()
 		if r.cfg.head == 0 {
@@ -434,7 +433,7 @@ func (r *Router) deadList() []msg.DeviceID {
 
 // owners is the ring lookup under this router's view.
 func (r *Router) owners(key string) []msg.DeviceID {
-	return r.ring.Owners(key, r.dead, r.cfg.replicas)
+	return r.ring.Owners(key, r.dead, DefaultReplicas)
 }
 
 // ServeNetwork implements smartnic.App: one byte discriminates peer
@@ -507,7 +506,7 @@ func (r *Router) forward(primary msg.DeviceID, payload []byte, reply func([]byte
 	id := r.nextReq
 	p := &pendingReq{target: primary, reply: reply, payload: payload, rerouted: rerouted}
 	r.pending[id] = p
-	p.tm = r.eng.After(r.cfg.opTimeout, func() {
+	p.tm = r.eng.After(DefaultOpTimeout, func() {
 		if r.halted || r.pending[id] != p {
 			return
 		}
@@ -716,7 +715,7 @@ func (r *Router) enqueue(t *writeTask) {
 		r.startTask(t)
 		return
 	}
-	if len(g.queue) >= r.cfg.writeBound {
+	if len(g.queue) >= DefaultWriteBound {
 		// Bounded pipeline: refuse rather than queue without limit.
 		r.stats.Shed++
 		if t.reply != nil {
@@ -779,7 +778,7 @@ func (r *Router) repTargets(key string) []msg.DeviceID {
 		}
 	}
 	if r.pendingRing != nil {
-		for _, id := range r.pendingRing.Owners(key, r.dead, r.cfg.replicas) {
+		for _, id := range r.pendingRing.Owners(key, r.dead, DefaultReplicas) {
 			if id != r.cfg.id && !memberOf(out, id) {
 				out = append(out, id)
 			}
@@ -821,7 +820,7 @@ func (r *Router) replicate(t *writeTask) {
 			Key: t.key, Value: t.value,
 		})
 	}
-	t.tm = r.eng.After(r.cfg.repRetry, func() {
+	t.tm = r.eng.After(DefaultRepRetry, func() {
 		if r.halted || t.done {
 			return
 		}
@@ -1054,11 +1053,11 @@ func (r *Router) failPendingTo(died []msg.DeviceID) {
 // every key reaches a full live replica set again.
 func (r *Router) resyncAfter(prevDead map[msg.DeviceID]bool) {
 	for _, key := range r.store.KeyList() {
-		now := r.ring.Owners(key, r.dead, r.cfg.replicas)
+		now := r.ring.Owners(key, r.dead, DefaultReplicas)
 		if len(now) == 0 || now[0] != r.cfg.id {
 			continue
 		}
-		was := r.ring.Owners(key, prevDead, r.cfg.replicas)
+		was := r.ring.Owners(key, prevDead, DefaultReplicas)
 		if ownersEqual(was, now) {
 			continue
 		}
@@ -1126,7 +1125,7 @@ func (r *Router) applyRingConfig(src msg.DeviceID, m *msg.RingConfig) {
 		joining := !r.InRing() && memberOf(m.Members, r.cfg.id)
 		r.pendingVer = m.Ver
 		r.pendingMembers = append([]msg.DeviceID(nil), m.Members...)
-		r.pendingRing = NewRing(m.Members, r.cfg.vnodes)
+		r.pendingRing = NewRing(m.Members)
 		r.pendingFrom = src
 		r.xferReported = false
 		r.stats.RingStaged++
@@ -1160,7 +1159,7 @@ func (r *Router) applyRingConfig(src msg.DeviceID, m *msg.RingConfig) {
 		if len(members) == 0 {
 			return
 		}
-		r.ring = NewRing(members, r.cfg.vnodes)
+		r.ring = NewRing(members)
 		r.ringVer = m.Ver
 		r.clearPending()
 		r.recalcEpoch()
@@ -1198,7 +1197,7 @@ func (r *Router) startXfer() {
 		if len(cur) == 0 || cur[0] != r.cfg.id {
 			continue
 		}
-		if ownersEqual(cur, r.pendingRing.Owners(key, r.dead, r.cfg.replicas)) {
+		if ownersEqual(cur, r.pendingRing.Owners(key, r.dead, DefaultReplicas)) {
 			continue
 		}
 		count++
@@ -1241,7 +1240,7 @@ func (r *Router) onDrain(m *msg.Drain) {
 		r.stats.Upgrades++
 		v := m.ConfigVersion
 		r.cl.tracef("m%d upgrading to conf v%d", r.cfg.id, v)
-		r.eng.After(r.cfg.upgradeDelay, func() {
+		r.eng.After(DefaultUpgradeDelay, func() {
 			if r.halted {
 				return
 			}
@@ -1293,7 +1292,7 @@ func (r *Router) purgeKeys(keys []string, keep func(string) bool, done func()) {
 // --- head-node heartbeating ---
 
 func (r *Router) armHeartbeat() {
-	r.eng.After(r.cfg.hbEvery, func() {
+	r.eng.After(DefaultHeartbeatEvery, func() {
 		if r.halted {
 			return
 		}
@@ -1304,9 +1303,10 @@ func (r *Router) armHeartbeat() {
 }
 
 // armSweep runs the head's staleness sweep: a machine whose heartbeat
-// is older than failAfter is declared dead and the view broadcast.
+// is older than DefaultFailTimeout is declared dead and the view
+// broadcast.
 func (r *Router) armSweep() {
-	r.eng.After(r.cfg.failAfter/2, func() {
+	r.eng.After(DefaultFailTimeout/2, func() {
 		if r.halted {
 			return
 		}
@@ -1317,7 +1317,7 @@ func (r *Router) armSweep() {
 				continue
 			}
 			last, beaten := r.lastBeat[id]
-			if beaten && now.Sub(last) > r.cfg.failAfter {
+			if beaten && now.Sub(last) > DefaultFailTimeout {
 				stale = append(stale, id)
 			}
 		}
@@ -1333,14 +1333,15 @@ func (r *Router) armSweep() {
 // The split-brain defense. A machine serves as primary (or acts as the
 // reconcile actor) only while holding a lease countersigned by a quorum
 // — a majority of the full ring membership, counting itself — within
-// the last leaseDur of virtual time. Two disjoint majorities cannot
-// exist, so two machines cannot hold live leases under contradictory
-// membership views: the side of a partition that cannot assemble a
-// quorum loses its lease within leaseDur and refuses every client op
-// with StatusFenced. Renewal runs every leaseRenew; since grantors stop
-// countersigning the moment their view declares the holder dead (and
-// dead sets never shrink), a deposed primary's authority dies no later
-// than leaseDur after its last quorum.
+// the last DefaultLeaseDuration of virtual time. Two disjoint
+// majorities cannot exist, so two machines cannot hold live leases
+// under contradictory membership views: the side of a partition that
+// cannot assemble a quorum loses its lease within DefaultLeaseDuration
+// and refuses every client op with StatusFenced. Renewal runs every
+// DefaultLeaseRenewEvery; since grantors stop countersigning the moment
+// their view declares the holder dead (and dead sets never shrink), a
+// deposed primary's authority dies no later than DefaultLeaseDuration
+// after its last quorum.
 
 // leaseQuorum is a majority of the full ring membership. The membership
 // (not the live view) is the electorate: a machine that declares
@@ -1370,16 +1371,17 @@ type viewSnap struct {
 }
 
 // keyFenced reports whether key sits behind a still-live takeover
-// fence: the view in effect leaseDur+failAfter ago named a different
-// primary, and that primary may still hold a lease granted under it
-// (one gossip round for its last grantor to learn of the death, ≤
-// failAfter, plus the lease itself). The check consults the view
-// history rather than a per-key map so that keys promoted WITHOUT a
-// local replica are fenced too. Dead sets only grow, so a machine that
-// was primary for a key at the window's start stays primary through
-// now — checking the single view at the cutoff covers the whole window.
+// fence: the view in effect DefaultLeaseDuration+DefaultFailTimeout
+// ago named a different primary, and that primary may still hold a
+// lease granted under it (one gossip round for its last grantor to
+// learn of the death, ≤ DefaultFailTimeout, plus the lease itself).
+// The check consults the view history rather than a per-key map so
+// that keys promoted WITHOUT a local replica are fenced too. Dead sets
+// only grow, so a machine that was primary for a key at the window's
+// start stays primary through now — checking the single view at the
+// cutoff covers the whole window.
 func (r *Router) keyFenced(key string) bool {
-	cutoff := r.eng.Now().Add(-(r.cfg.leaseDur + r.cfg.failAfter))
+	cutoff := r.eng.Now().Add(-(DefaultLeaseDuration + DefaultFailTimeout))
 	// Views replaced at or before the cutoff can never fence again (the
 	// cutoff only advances); drop them.
 	for len(r.views) > 0 && r.views[0].until <= cutoff {
@@ -1389,7 +1391,7 @@ func (r *Router) keyFenced(key string) bool {
 		return false
 	}
 	v := r.views[0] // the view in effect at the cutoff instant
-	was := v.ring.Owners(key, v.dead, r.cfg.replicas)
+	was := v.ring.Owners(key, v.dead, DefaultReplicas)
 	return len(was) > 0 && was[0] != r.cfg.id
 }
 
@@ -1423,7 +1425,7 @@ func (r *Router) Suspects() []msg.DeviceID {
 }
 
 func (r *Router) armLease() {
-	r.eng.After(r.cfg.leaseRenew, func() {
+	r.eng.After(DefaultLeaseRenewEvery, func() {
 		if r.halted {
 			return
 		}
@@ -1446,7 +1448,7 @@ func (r *Router) renewLease() {
 	r.leaseSeq++
 	r.stats.LeaseRenews++
 	r.leaseRound = map[msg.DeviceID]bool{r.cfg.id: true}
-	until := r.eng.Now().Add(r.cfg.leaseDur)
+	until := r.eng.Now().Add(DefaultLeaseDuration)
 	if len(r.leaseRound) >= r.leaseQuorum() {
 		// Single-member ring: the self-grant is the quorum.
 		r.extendLease(until)
@@ -1487,14 +1489,14 @@ func (r *Router) onLeaseGrant(src msg.DeviceID, m *msg.LeaseGrant) {
 
 // armSilence runs the decentralized inbound-silence failure detector.
 // The lease renewal chatter guarantees every pair of ring members
-// periodic traffic, so "I have heard nothing from p for failAfter" is
-// meaningful evidence — and unlike a transport-level send failure it
+// periodic traffic, so "I have heard nothing from p for
+// DefaultFailTimeout" is meaningful evidence — and unlike a transport-level send failure it
 // measures the direction that matters for death: whether p can still
 // reach us. Directionally-suspected peers (we failed to reach them) get
 // half the patience: two independent signals, outbound failure plus
 // inbound silence, converge on a declaration sooner than either alone.
 func (r *Router) armSilence() {
-	r.eng.After(r.cfg.failAfter/2, func() {
+	r.eng.After(DefaultFailTimeout/2, func() {
 		if r.halted {
 			return
 		}
@@ -1518,7 +1520,7 @@ func (r *Router) armSilence() {
 					// silence verdict then reaches us as view gossip.
 					continue
 				}
-				patience := r.cfg.failAfter
+				patience := DefaultFailTimeout
 				if r.suspects[id] {
 					patience /= 2
 				}

@@ -230,9 +230,6 @@ func (f *Fabric) NewPort(name string, mmu *iommu.IOMMU) *Port {
 	return p
 }
 
-// WaitGauge exposes the DMA stall-FIFO depth for the overload audit.
-func (p *Port) WaitGauge() *metrics.Gauge { return p.waitG }
-
 // submitDMA admits a transfer to the port's DMA engine under the
 // configured window: within the window it goes straight to the engine;
 // past it the transfer waits in the bounded FIFO, and past the FIFO's

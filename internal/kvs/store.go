@@ -44,10 +44,6 @@ type Config struct {
 	Kernel msg.DeviceID
 	// QueueEntries sizes the virtqueue (power of two).
 	QueueEntries uint16
-	// IndexCost models the NIC-local hash-table probe/update time.
-	IndexCost sim.Duration
-	// RetryEvery paces reconnection attempts after a provider failure.
-	RetryEvery sim.Duration
 	// KickBatch batches request doorbells on the store's virtqueue (E9
 	// ablation; 0/1 = kick per request).
 	KickBatch int
@@ -75,8 +71,11 @@ type Config struct {
 	Tenancy *tenant.Registry
 }
 
-// DefaultIndexCost models an on-NIC hash probe.
+// DefaultIndexCost models the NIC-local hash-table probe/update time.
 const DefaultIndexCost = 150 * sim.Nanosecond
+
+// retryEvery paces reconnection attempts after a provider failure.
+const retryEvery = 500 * sim.Microsecond
 
 // loc addresses a value inside the data file.
 type loc struct {
@@ -153,12 +152,6 @@ type Store struct {
 func New(cfg Config) *Store {
 	if cfg.QueueEntries == 0 {
 		cfg.QueueEntries = 64
-	}
-	if cfg.IndexCost == 0 {
-		cfg.IndexCost = DefaultIndexCost
-	}
-	if cfg.RetryEvery == 0 {
-		cfg.RetryEvery = 500 * sim.Microsecond
 	}
 	s := &Store{cfg: cfg, index: make(map[string]loc), tenInflight: make(map[tenant.ID]int)}
 	s.inflightG = metrics.NewGauge(cfg.InflightBound)
@@ -297,7 +290,7 @@ func (s *Store) finishConnect() {
 
 func (s *Store) scheduleReconnect() {
 	epoch := s.epoch
-	s.rt.Engine().After(s.cfg.RetryEvery, func() {
+	s.rt.Engine().After(retryEvery, func() {
 		if epoch != s.epoch || s.ready {
 			return
 		}
@@ -465,7 +458,7 @@ func (s *Store) serve(req Request, reply func([]byte)) {
 	// make theirs — that is the goodput-collapse mechanism. Shed now,
 	// cheaply, with an explicit status.
 	if req.Deadline != 0 {
-		eta := s.rt.Engine().Now().Add(s.cfg.IndexCost + s.estServe)
+		eta := s.rt.Engine().Now().Add(DefaultIndexCost + s.estServe)
 		if uint64(eta) > req.Deadline {
 			// Decay the estimate on every shed (same 1/8 gain as the
 			// update): sheds produce no completion samples, so without
@@ -506,7 +499,7 @@ func (s *Store) serve(req Request, reply func([]byte)) {
 		reply(b)
 	}
 	// Charge the NIC-local index probe before touching the data plane.
-	s.rt.Engine().After(s.cfg.IndexCost, func() {
+	s.rt.Engine().After(DefaultIndexCost, func() {
 		switch req.Op {
 		case OpGet:
 			s.get(req, done)

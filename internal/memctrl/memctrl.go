@@ -28,13 +28,12 @@ import (
 // Config tunes the controller.
 type Config struct {
 	Device device.Config
-	// OpCost is the controller's table-update time per request.
-	OpCost sim.Duration
 	// QuotaPerApp caps bytes allocated to one application; 0 = unlimited.
 	QuotaPerApp uint64
 }
 
-// DefaultOpCost models a small hardware table engine.
+// DefaultOpCost is the controller's table-update time per request: a
+// small hardware table engine.
 const DefaultOpCost = 300 * sim.Nanosecond
 
 // Stats counts controller activity.
@@ -94,9 +93,6 @@ type freedRegion struct {
 // Role is forced to RoleMemoryController.
 func New(eng *sim.Engine, b *bus.Bus, fab *interconnect.Fabric, tr *trace.Tracer, cfg Config) (*Controller, error) {
 	cfg.Device.Role = msg.RoleMemoryController
-	if cfg.OpCost == 0 {
-		cfg.OpCost = DefaultOpCost
-	}
 	d, err := device.New(eng, b, fab, tr, cfg.Device)
 	if err != nil {
 		return nil, err
@@ -184,7 +180,7 @@ func sortedBases(regions map[uint64]*allocation) []uint64 {
 
 func (c *Controller) onAlloc(env msg.Envelope) {
 	m := env.Msg.(*msg.AllocReq)
-	c.proc.Submit(c.cfg.OpCost, func() {
+	c.proc.Submit(DefaultOpCost, func() {
 		resp := c.doAlloc(env.Src, m)
 		c.dev.Send(env.Src, resp)
 	})
@@ -305,7 +301,7 @@ func (c *Controller) doAlloc(src msg.DeviceID, m *msg.AllocReq) *msg.AllocResp {
 
 func (c *Controller) onFree(env msg.Envelope) {
 	m := env.Msg.(*msg.FreeReq)
-	c.proc.Submit(c.cfg.OpCost, func() {
+	c.proc.Submit(DefaultOpCost, func() {
 		resp := c.doFree(env.Src, m)
 		c.dev.Send(env.Src, resp)
 	})
@@ -352,7 +348,7 @@ func (c *Controller) doFree(src msg.DeviceID, m *msg.FreeReq) *msg.FreeResp {
 
 func (c *Controller) onAuth(env msg.Envelope) {
 	m := env.Msg.(*msg.AuthReq)
-	c.proc.Submit(c.cfg.OpCost, func() {
+	c.proc.Submit(DefaultOpCost, func() {
 		resp := c.doAuth(env.Src, m)
 		c.dev.Send(msg.BusID, resp)
 	})

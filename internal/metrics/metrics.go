@@ -7,6 +7,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -38,7 +39,7 @@ func bucketOf(d sim.Duration) int {
 	}
 	v := uint64(d)
 	// Index = octave*16 + position within octave.
-	oct := 63 - leadingZeros(v)
+	oct := 63 - bits.LeadingZeros64(v)
 	var sub uint64
 	if oct > 4 {
 		sub = (v >> (uint(oct) - 4)) & (bucketsPerOctave - 1)
@@ -46,17 +47,6 @@ func bucketOf(d sim.Duration) int {
 		sub = (v << (4 - uint(oct))) & (bucketsPerOctave - 1)
 	}
 	return oct*bucketsPerOctave + int(sub)
-}
-
-func leadingZeros(v uint64) int {
-	n := 0
-	for i := 63; i >= 0; i-- {
-		if v&(1<<uint(i)) != 0 {
-			return n
-		}
-		n++
-	}
-	return 64
 }
 
 // bucketValue returns a representative duration for bucket i (its lower
@@ -144,10 +134,9 @@ func (h *Histogram) Quantile(q float64) sim.Duration {
 	return h.max
 }
 
-// P50, P99, P999 are convenience quantiles.
-func (h *Histogram) P50() sim.Duration  { return h.Quantile(0.50) }
-func (h *Histogram) P99() sim.Duration  { return h.Quantile(0.99) }
-func (h *Histogram) P999() sim.Duration { return h.Quantile(0.999) }
+// P50 and P99 are convenience quantiles.
+func (h *Histogram) P50() sim.Duration { return h.Quantile(0.50) }
+func (h *Histogram) P99() sim.Duration { return h.Quantile(0.99) }
 
 // Merge adds all samples from other into h.
 func (h *Histogram) Merge(other *Histogram) {
@@ -267,13 +256,6 @@ func (g *Gauge) Set(v int) {
 
 // Inc adds one to the current depth.
 func (g *Gauge) Inc() { g.Set(g.cur + 1) }
-
-// Dec subtracts one from the current depth (floored at 0).
-func (g *Gauge) Dec() {
-	if g.cur > 0 {
-		g.cur--
-	}
-}
 
 // Cur returns the current depth.
 func (g *Gauge) Cur() int { return g.cur }

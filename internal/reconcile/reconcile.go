@@ -43,7 +43,7 @@ import (
 	"nocpu/internal/sim"
 )
 
-// Control-loop tuning defaults.
+// Control-loop tuning.
 const (
 	// DefaultReconcileEvery is the agent tick: condition reports flow and
 	// the actor re-derives its next action at this cadence.
@@ -84,10 +84,6 @@ type Spec struct {
 type Config struct {
 	// Spec is the initial declared state (Ver defaults to 1).
 	Spec Spec
-	// ReconcileEvery / ProbeEvery / Bound default to the constants above.
-	ReconcileEvery sim.Duration
-	ProbeEvery     sim.Duration
-	Bound          sim.Duration
 }
 
 // Stats aggregates every agent's reconcile activity.
@@ -170,15 +166,6 @@ type Fleet struct {
 // which every machine can read at boot; later changes still propagate
 // via SpecGossip so late observers converge).
 func Attach(cl *fabric.Cluster, cfg Config) *Fleet {
-	if cfg.ReconcileEvery == 0 {
-		cfg.ReconcileEvery = DefaultReconcileEvery
-	}
-	if cfg.ProbeEvery == 0 {
-		cfg.ProbeEvery = DefaultProbeEvery
-	}
-	if cfg.Bound == 0 {
-		cfg.Bound = DefaultBound
-	}
 	if cfg.Spec.Ver == 0 {
 		cfg.Spec.Ver = 1
 	}
@@ -283,7 +270,7 @@ func (f *Fleet) Converged() bool {
 // convergence, and sample the C3 budget. The probe is an outside
 // observer — it never feeds back into the agents.
 func (f *Fleet) armProbe() {
-	f.cl.Eng.After(f.cfg.ProbeEvery, func() {
+	f.cl.Eng.After(DefaultProbeEvery, func() {
 		f.probes++
 		f.sampleBudget()
 		if len(f.open) > 0 && f.Converged() {
@@ -367,13 +354,13 @@ func (f *Fleet) Report() Report {
 		SpecVer:        f.spec.Ver,
 	}
 	for _, w := range rep.Windows {
-		if w > f.cfg.Bound {
+		if w > DefaultBound {
 			rep.C1Violations++
 		}
 	}
 	now := f.cl.Eng.Now()
 	for _, at := range f.open {
-		if now.Sub(at) > f.cfg.Bound {
+		if now.Sub(at) > DefaultBound {
 			rep.C1Violations++
 		}
 	}

@@ -62,9 +62,6 @@ type TenantApp interface {
 // Config assembles a NIC.
 type Config struct {
 	Device device.Config
-	// RxCost/TxCost model packet processing per network request/response.
-	RxCost sim.Duration
-	TxCost sim.Duration
 	// RxQueueBound caps the rx pipeline's backlog (requests admitted but
 	// not yet through rx processing). At the bound, Deliver sheds: the
 	// request is answered with the app's Shedder response (or dropped if
@@ -78,7 +75,8 @@ type Config struct {
 	Tenancy *tenant.Registry
 }
 
-// DefaultRxCost and DefaultTxCost model a programmable pipeline.
+// DefaultRxCost and DefaultTxCost model a programmable pipeline's
+// packet processing per network request and response.
 const (
 	DefaultRxCost = 600 * sim.Nanosecond
 	DefaultTxCost = 300 * sim.Nanosecond
@@ -151,12 +149,6 @@ type grantKey struct {
 
 // New builds the NIC and attaches it.
 func New(eng *sim.Engine, b *bus.Bus, fab *interconnect.Fabric, tr *trace.Tracer, cfg Config) (*NIC, error) {
-	if cfg.RxCost == 0 {
-		cfg.RxCost = DefaultRxCost
-	}
-	if cfg.TxCost == 0 {
-		cfg.TxCost = DefaultTxCost
-	}
 	cfg.Device.Role = msg.RoleNIC
 	d, err := device.New(eng, b, fab, tr, cfg.Device)
 	if err != nil {
@@ -286,7 +278,7 @@ func (n *NIC) deliver(tn uint16, stamped bool, app msg.AppID, payload []byte, re
 		}
 		if s, ok := a.(Shedder); ok {
 			resp := s.ShedResponse()
-			n.tx.Submit(n.cfg.TxCost, func() { reply(resp) })
+			n.tx.Submit(DefaultTxCost, func() { reply(resp) })
 		}
 	}
 	// Per-tenant rx partition first: a tenant at its own bound sheds
@@ -305,7 +297,7 @@ func (n *NIC) deliver(tn uint16, stamped bool, app msg.AppID, payload []byte, re
 		return
 	}
 	n.rxTenant[tn]++
-	n.rx.Submit(n.cfg.RxCost, func() {
+	n.rx.Submit(DefaultRxCost, func() {
 		n.rxTenant[tn]--
 		n.NetRequests++
 		serve := a.ServeNetwork
@@ -313,7 +305,7 @@ func (n *NIC) deliver(tn uint16, stamped bool, app msg.AppID, payload []byte, re
 			serve = func(p []byte, r func([]byte)) { ta.ServeTenantNetwork(tn, p, r) }
 		}
 		serve(payload, func(resp []byte) {
-			n.tx.Submit(n.cfg.TxCost, func() { reply(resp) })
+			n.tx.Submit(DefaultTxCost, func() { reply(resp) })
 		})
 	})
 	n.rxG.Set(n.rx.Pending())

@@ -19,10 +19,7 @@ import (
 type Config struct {
 	Device   device.Config
 	Geometry FlashGeometry
-	Timing   FlashTiming
-	// OPRatio is the FTL over-provisioning fraction.
-	OPRatio float64
-	FS      FSConfig
+	FS       FSConfig
 	// CellSize is the virtqueue buffer cell the file service uses.
 	CellSize int
 	// Tokens maps file names to required open tokens (§3 step 3 and the
@@ -31,12 +28,13 @@ type Config struct {
 	Tokens map[string]uint64
 	// LoaderToken authenticates LoadReq image uploads (§2.1, §4).
 	LoaderToken uint64
-	// CreateOnOpen makes the file service create missing files on open.
-	CreateOnOpen bool
 	// NotifyBatch sets used-ring notification batching on the file
 	// service's endpoints (E9 ablation; 0/1 = notify per completion).
 	NotifyBatch int
 }
+
+// opRatio is the FTL over-provisioning fraction.
+const opRatio = 0.125
 
 // conn is one open file-service connection (one service instance; §2.1
 // requires per-instance contexts and isolation between them).
@@ -79,12 +77,6 @@ func New(eng *sim.Engine, b *bus.Bus, fab *interconnect.Fabric, tr *trace.Tracer
 	if cfg.Geometry.Channels == 0 {
 		cfg.Geometry = DefaultGeometry
 	}
-	if cfg.Timing.Read == 0 {
-		cfg.Timing = DefaultTiming
-	}
-	if cfg.OPRatio == 0 {
-		cfg.OPRatio = 0.125
-	}
 	if cfg.CellSize == 0 {
 		cfg.CellSize = 4096 + RespHeaderBytes + ReqHeaderBytes
 	}
@@ -99,8 +91,8 @@ func New(eng *sim.Engine, b *bus.Bus, fab *interconnect.Fabric, tr *trace.Tracer
 		conns:  make(map[uint32]*conn),
 		closed: make(map[uint32]msg.DeviceID),
 	}
-	s.flash = newFlash(eng, cfg.Geometry, cfg.Timing)
-	s.ftl = newFTL(eng, s.flash, cfg.OPRatio)
+	s.flash = newFlash(eng, cfg.Geometry, DefaultTiming)
+	s.ftl = newFTL(eng, s.flash, opRatio)
 	s.fs = newFS(s.ftl, cfg.FS)
 
 	d.AddService(&fileService{ssd: s})
@@ -268,9 +260,8 @@ type fileService struct {
 func (fs *fileService) Name() string { return "file" }
 
 // Match answers discovery queries and session names. Two name forms:
-// "file:<name>" matches files present on the volume (or any name when
-// CreateOnOpen is set); "file+create:<name>" matches any storage volume
-// and creates the file on open if missing.
+// "file:<name>" matches files present on the volume; "file+create:<name>"
+// matches any storage volume and creates the file on open if missing.
 func (fs *fileService) Match(query string) bool {
 	if !fs.ssd.ready {
 		return false
@@ -281,9 +272,6 @@ func (fs *fileService) Match(query string) bool {
 	name, ok := strings.CutPrefix(query, "file:")
 	if !ok {
 		return false
-	}
-	if fs.ssd.cfg.CreateOnOpen {
-		return true
 	}
 	_, exists := fs.ssd.fs.Lookup(name)
 	return exists
@@ -320,7 +308,7 @@ func (fs *fileService) Open(src msg.DeviceID, req *msg.OpenReq) *msg.OpenResp {
 	}
 	f, exists := s.fs.Lookup(name)
 	if !exists {
-		if !s.cfg.CreateOnOpen && !createRequested {
+		if !createRequested {
 			return deny("no such file")
 		}
 		// Create synchronously in metadata; persistence trails behind.
