@@ -14,7 +14,7 @@
 
 GO ?= go
 
-.PHONY: build test vet benchvet lint allows race fuzz chaos overload fabric reconcile tenancy partition benchguard check bench tables
+.PHONY: build test vet benchvet benchtest lint allows race fuzz chaos overload fabric reconcile tenancy partition benchguard check bench tables
 
 build:
 	$(GO) build ./...
@@ -30,6 +30,12 @@ vet:
 # would break the benchmark build.
 benchvet:
 	cd perfbench && $(GO) vet ./...
+
+# The benchmark's own tests: each workload's behaviour digest repeats
+# for a seed, and the metric schema is right. About 40s, so it is not
+# part of `check`; CI runs it as its own step.
+benchtest:
+	cd perfbench && $(GO) test .
 
 # Custom determinism/decentralization/wire-compat analyzers
 # (internal/lint), run via the go vet -vettool protocol. See

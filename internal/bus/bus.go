@@ -562,7 +562,9 @@ func (b *Bus) IngressGauge() *metrics.Gauge { return b.ingressG }
 // processing cost paid.
 func (b *Bus) process(env msg.Envelope) {
 	b.stats.Messages++
-	b.tr.Record(b.eng.Now(), b.nameOf(env.Src), b.nameOf(env.Dst), env.Msg.Kind().String(), summarize(env.Msg))
+	if b.tr != nil {
+		b.tr.Record(b.eng.Now(), b.nameOf(env.Src), b.nameOf(env.Dst), env.Msg.Kind().String(), summarize(env.Msg))
+	}
 
 	src, ok := b.devices[env.Src]
 	if !ok {
@@ -752,7 +754,9 @@ func (b *Bus) deliver(env msg.Envelope, dst *attachment) {
 
 // sendFromBus emits a bus-originated message to one device.
 func (b *Bus) sendFromBus(dst *attachment, m msg.Message) {
-	b.tr.Record(b.eng.Now(), "bus", dst.name, m.Kind().String(), summarize(m))
+	if b.tr != nil {
+		b.tr.Record(b.eng.Now(), "bus", dst.name, m.Kind().String(), summarize(m))
+	}
 	b.stats.Deliveries++
 	b.busSeq++
 	env := msg.Envelope{Src: msg.BusID, Dst: dst.id, Seq: b.busSeq, Msg: m}

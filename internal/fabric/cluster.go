@@ -36,9 +36,10 @@ func (f Flavor) String() string {
 	return "decentralized"
 }
 
-// DefaultMachineMemory sizes each machine's physical memory. Fabric
-// memory is really allocated per machine (physmem), so rack-scale runs
-// use a small arena instead of the single-machine 128 MiB default.
+// DefaultMachineMemory sizes each machine's physical memory, smaller
+// than the single-machine 128 MiB default. Physical memory is backed
+// only where a machine writes, so the size bounds what a machine may
+// allocate rather than what it costs the host.
 const DefaultMachineMemory = 8 << 20
 
 // traceLimit bounds the Config.Trace event log.

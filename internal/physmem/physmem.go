@@ -1,5 +1,7 @@
-// Package physmem simulates the machine's physical memory: a flat
-// byte-addressable store plus a buddy allocator handing out 4 KiB frames.
+// Package physmem simulates the machine's physical memory: a
+// byte-addressable store of 4 KiB frames plus a buddy allocator handing
+// them out. The store is sparse: a frame costs host memory only once it
+// has been written, and a frame that was never written reads as zeros.
 //
 // Every byte that moves through the emulated machine — virtqueue rings,
 // file data staged by the smart SSD, IOMMU page tables — lives in a Memory
@@ -31,12 +33,15 @@ func (f Frame) Addr() Addr { return Addr(f) << PageShift }
 // FrameOf returns the frame containing the address.
 func FrameOf(a Addr) Frame { return Frame(a >> PageShift) }
 
-// Memory is the flat physical memory plus its frame allocator.
+// Memory is the physical memory plus its frame allocator. It is sparse:
+// pages[f] backs frame f, and a nil entry is a frame that holds all zeros.
+// A frame gets its backing on first write and gives it back when Zero
+// covers the whole frame, so host memory tracks only what the simulation
+// has written.
 type Memory struct {
-	data  []byte
-	buddy *buddy
-	// owner tracks which allocation (by tag) owns each allocated frame;
-	// used by tests and the memory controller to audit leaks.
+	pages      []*[PageSize]byte
+	size       uint64
+	buddy      *buddy
 	allocBytes uint64
 }
 
@@ -47,7 +52,8 @@ func New(size uint64) (*Memory, error) {
 		return nil, fmt.Errorf("physmem: size %d is not a positive multiple of %d", size, PageSize)
 	}
 	return &Memory{
-		data:  make([]byte, size),
+		pages: make([]*[PageSize]byte, size/PageSize),
+		size:  size,
 		buddy: newBuddy(size / PageSize),
 	}, nil
 }
@@ -62,19 +68,66 @@ func MustNew(size uint64) *Memory {
 }
 
 // Size returns the total memory size in bytes.
-func (m *Memory) Size() uint64 { return uint64(len(m.data)) }
+func (m *Memory) Size() uint64 { return m.size }
 
 // Frames returns the total number of frames.
-func (m *Memory) Frames() uint64 { return uint64(len(m.data)) / PageSize }
+func (m *Memory) Frames() uint64 { return m.size / PageSize }
 
 // AllocatedBytes returns the bytes currently handed out by the allocator.
 func (m *Memory) AllocatedBytes() uint64 { return m.allocBytes }
 
+// BackedBytes returns the bytes of frames that currently have backing,
+// that is, the host memory the simulated memory costs.
+func (m *Memory) BackedBytes() uint64 {
+	var n uint64
+	for _, p := range m.pages {
+		if p != nil {
+			n += PageSize
+		}
+	}
+	return n
+}
+
 func (m *Memory) check(addr Addr, n int) error {
-	if n < 0 || uint64(addr) > uint64(len(m.data)) || uint64(addr)+uint64(n) > uint64(len(m.data)) {
-		return fmt.Errorf("physmem: access [%#x, %#x) outside memory of %d bytes", addr, uint64(addr)+uint64(n), len(m.data))
+	if n < 0 || uint64(addr) > m.size || uint64(addr)+uint64(n) > m.size {
+		return fmt.Errorf("physmem: access [%#x, %#x) outside memory of %d bytes", addr, uint64(addr)+uint64(n), m.size)
 	}
 	return nil
+}
+
+// pageOff splits an address into its frame and the offset within it.
+func pageOff(addr Addr) (Frame, int) { return FrameOf(addr), int(addr & (PageSize - 1)) }
+
+// readAt copies the checked range at addr into dst, frame by frame; a
+// frame with no backing reads as zeros.
+func (m *Memory) readAt(addr Addr, dst []byte) {
+	for len(dst) > 0 {
+		f, off := pageOff(addr)
+		n := min(len(dst), PageSize-off)
+		if p := m.pages[f]; p != nil {
+			copy(dst[:n], p[off:])
+		} else {
+			clear(dst[:n])
+		}
+		dst = dst[n:]
+		addr += Addr(n)
+	}
+}
+
+// writeAt copies src into the checked range at addr, backing each frame
+// it touches on first write.
+func (m *Memory) writeAt(addr Addr, src []byte) {
+	for len(src) > 0 {
+		f, off := pageOff(addr)
+		p := m.pages[f]
+		if p == nil {
+			p = new([PageSize]byte)
+			m.pages[f] = p
+		}
+		n := copy(p[off:], src)
+		src = src[n:]
+		addr += Addr(n)
+	}
 }
 
 // Read copies n bytes at addr into a fresh slice.
@@ -83,7 +136,7 @@ func (m *Memory) Read(addr Addr, n int) ([]byte, error) {
 		return nil, err
 	}
 	out := make([]byte, n)
-	copy(out, m.data[addr:])
+	m.readAt(addr, out)
 	return out, nil
 }
 
@@ -92,7 +145,7 @@ func (m *Memory) ReadInto(addr Addr, dst []byte) error {
 	if err := m.check(addr, len(dst)); err != nil {
 		return err
 	}
-	copy(dst, m.data[addr:])
+	m.readAt(addr, dst)
 	return nil
 }
 
@@ -101,7 +154,7 @@ func (m *Memory) Write(addr Addr, src []byte) error {
 	if err := m.check(addr, len(src)); err != nil {
 		return err
 	}
-	copy(m.data[addr:], src)
+	m.writeAt(addr, src)
 	return nil
 }
 
@@ -111,7 +164,9 @@ func (m *Memory) ReadU64(addr Addr) (uint64, error) {
 	if err := m.check(addr, 8); err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint64(m.data[addr:]), nil
+	var b [8]byte
+	m.readAt(addr, b[:])
+	return binary.LittleEndian.Uint64(b[:]), nil
 }
 
 // WriteU64 writes a little-endian uint64 at addr.
@@ -119,7 +174,9 @@ func (m *Memory) WriteU64(addr Addr, v uint64) error {
 	if err := m.check(addr, 8); err != nil {
 		return err
 	}
-	binary.LittleEndian.PutUint64(m.data[addr:], v)
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	m.writeAt(addr, b[:])
 	return nil
 }
 
@@ -128,7 +185,9 @@ func (m *Memory) ReadU32(addr Addr) (uint32, error) {
 	if err := m.check(addr, 4); err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint32(m.data[addr:]), nil
+	var b [4]byte
+	m.readAt(addr, b[:])
+	return binary.LittleEndian.Uint32(b[:]), nil
 }
 
 // WriteU32 writes a little-endian uint32 at addr.
@@ -136,7 +195,9 @@ func (m *Memory) WriteU32(addr Addr, v uint32) error {
 	if err := m.check(addr, 4); err != nil {
 		return err
 	}
-	binary.LittleEndian.PutUint32(m.data[addr:], v)
+	var b [4]byte
+	binary.LittleEndian.PutUint32(b[:], v)
+	m.writeAt(addr, b[:])
 	return nil
 }
 
@@ -145,7 +206,9 @@ func (m *Memory) ReadU16(addr Addr) (uint16, error) {
 	if err := m.check(addr, 2); err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint16(m.data[addr:]), nil
+	var b [2]byte
+	m.readAt(addr, b[:])
+	return binary.LittleEndian.Uint16(b[:]), nil
 }
 
 // WriteU16 writes a little-endian uint16 at addr.
@@ -153,16 +216,29 @@ func (m *Memory) WriteU16(addr Addr, v uint16) error {
 	if err := m.check(addr, 2); err != nil {
 		return err
 	}
-	binary.LittleEndian.PutUint16(m.data[addr:], v)
+	var b [2]byte
+	binary.LittleEndian.PutUint16(b[:], v)
+	m.writeAt(addr, b[:])
 	return nil
 }
 
-// Zero clears n bytes at addr.
+// Zero clears n bytes at addr. A frame the range covers whole loses its
+// backing; a partly covered frame is cleared only if it has backing.
 func (m *Memory) Zero(addr Addr, n int) error {
 	if err := m.check(addr, n); err != nil {
 		return err
 	}
-	clear(m.data[addr : uint64(addr)+uint64(n)])
+	for n > 0 {
+		f, off := pageOff(addr)
+		c := min(n, PageSize-off)
+		if c == PageSize {
+			m.pages[f] = nil
+		} else if p := m.pages[f]; p != nil {
+			clear(p[off : off+c])
+		}
+		n -= c
+		addr += Addr(c)
+	}
 	return nil
 }
 

@@ -274,3 +274,133 @@ func TestFrameAddrConversion(t *testing.T) {
 		t.Error("FrameOf wrong")
 	}
 }
+
+func TestScalarAccessorsStraddleFrames(t *testing.T) {
+	m := MustNew(4 * PageSize)
+	// Each value starts one byte before a frame boundary, so its bytes
+	// land in two frames.
+	if err := m.WriteU64(2*PageSize-1, 0x0102030405060708); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := m.ReadU64(2*PageSize - 1); err != nil || v != 0x0102030405060708 {
+		t.Errorf("u64 = %#x, err=%v", v, err)
+	}
+	if err := m.WriteU32(PageSize-1, 0xa1b2c3d4); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := m.ReadU32(PageSize - 1); err != nil || v != 0xa1b2c3d4 {
+		t.Errorf("u32 = %#x, err=%v", v, err)
+	}
+	if err := m.WriteU16(3*PageSize-1, 0xbeef); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := m.ReadU16(3*PageSize - 1); err != nil || v != 0xbeef {
+		t.Errorf("u16 = %#x, err=%v", v, err)
+	}
+	// The low byte sits at the end of the first frame.
+	if b, _ := m.Read(3*PageSize-1, 2); !bytes.Equal(b, []byte{0xef, 0xbe}) {
+		t.Errorf("u16 bytes = %x", b)
+	}
+	// A value read across a written and an unwritten frame sees zeros in
+	// the unwritten one.
+	m2 := MustNew(2 * PageSize)
+	_ = m2.Write(PageSize-2, []byte{0x11, 0x22})
+	if v, _ := m2.ReadU32(PageSize - 2); v != 0x2211 {
+		t.Errorf("u32 over unwritten frame = %#x", v)
+	}
+}
+
+func TestMultiFrameReadWrite(t *testing.T) {
+	m := MustNew(8 * PageSize)
+	src := make([]byte, 3*PageSize+100)
+	for i := range src {
+		src[i] = byte(i*7 + 1)
+	}
+	addr := Addr(PageSize + 50)
+	if err := m.Write(addr, src); err != nil {
+		t.Fatal(err)
+	}
+	got, err := m.Read(addr, len(src))
+	if err != nil || !bytes.Equal(got, src) {
+		t.Fatalf("multi-frame read differs, err=%v", err)
+	}
+	into := make([]byte, len(src)+100)
+	if err := m.ReadInto(addr-50, into); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(into[:50], make([]byte, 50)) || !bytes.Equal(into[50:50+len(src)], src) ||
+		!bytes.Equal(into[50+len(src):], make([]byte, 50)) {
+		t.Error("ReadInto across frames differs")
+	}
+	// The write touched frames 1..4 only.
+	if got := m.BackedBytes(); got != 4*PageSize {
+		t.Errorf("BackedBytes = %d, want %d", got, 4*PageSize)
+	}
+}
+
+func TestUnwrittenFrameReadsZero(t *testing.T) {
+	m := MustNew(4 * PageSize)
+	got, err := m.Read(PageSize, PageSize)
+	if err != nil || !bytes.Equal(got, make([]byte, PageSize)) {
+		t.Errorf("unwritten frame not zero, err=%v", err)
+	}
+	if v, _ := m.ReadU64(2 * PageSize); v != 0 {
+		t.Errorf("unwritten u64 = %#x", v)
+	}
+	if m.BackedBytes() != 0 {
+		t.Errorf("reads backed %d bytes", m.BackedBytes())
+	}
+}
+
+func TestZeroDropsWholeFramesAndClearsPartialRange(t *testing.T) {
+	m := MustNew(4 * PageSize)
+	ones := bytes.Repeat([]byte{0xff}, 4*PageSize)
+	_ = m.Write(0, ones)
+	if m.BackedBytes() != 4*PageSize {
+		t.Fatalf("BackedBytes = %d", m.BackedBytes())
+	}
+	// Covers the tail of frame 0, all of frames 1 and 2, and the head of
+	// frame 3.
+	if err := m.Zero(PageSize-10, 2*PageSize+20); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.BackedBytes(); got != 2*PageSize {
+		t.Errorf("BackedBytes after Zero = %d, want %d", got, 2*PageSize)
+	}
+	got, _ := m.Read(0, 4*PageSize)
+	want := append([]byte(nil), ones...)
+	clear(want[PageSize-10 : 3*PageSize+10])
+	if !bytes.Equal(got, want) {
+		t.Error("Zero cleared the wrong range")
+	}
+	// A partial Zero of a frame with no backing leaves it without.
+	if err := m.Zero(PageSize+5, 10); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.BackedBytes(); got != 2*PageSize {
+		t.Errorf("partial Zero of an unbacked frame backed it: %d", got)
+	}
+}
+
+func TestReallocatedDirtyFrameReadsZero(t *testing.T) {
+	m := MustNew(8 * PageSize)
+	f, _ := m.AllocFrames(2)
+	_ = m.Write(f.Addr(), bytes.Repeat([]byte{0xab}, 2*PageSize))
+	if err := m.FreeFrames(f, 2); err != nil {
+		t.Fatal(err)
+	}
+	f2, err := m.AllocFrames(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f2 != f {
+		t.Fatalf("expected the freed frames back, got %d want %d", f2, f)
+	}
+	got, _ := m.Read(f2.Addr(), 2*PageSize)
+	if !bytes.Equal(got, make([]byte, 2*PageSize)) {
+		t.Error("reallocated frames not zero")
+	}
+	if m.BackedBytes() != 0 {
+		t.Errorf("scrubbed frames still backed: %d bytes", m.BackedBytes())
+	}
+}

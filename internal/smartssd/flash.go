@@ -69,6 +69,9 @@ type PPA uint32
 // blockOf returns the physical block index containing the page.
 func (g FlashGeometry) blockOf(p PPA) int { return int(p) / g.PagesPerBlock }
 
+// pageIn returns the page's index within its block.
+func (g FlashGeometry) pageIn(p PPA) int { return int(p) % g.PagesPerBlock }
+
 // channelOf returns the channel that owns the page's block. Blocks are
 // striped across channels so sequential block numbers alternate channels.
 func (g FlashGeometry) channelOf(block int) int { return block % g.Channels }
@@ -80,8 +83,11 @@ type flash struct {
 	tim      FlashTiming
 	eng      *sim.Engine
 	channels []*sim.Server
-	pages    [][]byte // nil = erased
-	erases   []uint64 // per-block erase count (wear)
+	// blocks[b][i] holds page i of block b: nil when erased, discarded
+	// once the FTL no longer maps it. A block's slots are made on its
+	// first program, so an untouched block costs one nil slice.
+	blocks [][][]byte
+	erases []uint64 // per-block erase count (wear)
 	// broken simulates a failed die/controller: every op errors.
 	broken bool
 
@@ -93,7 +99,7 @@ func newFlash(eng *sim.Engine, geo FlashGeometry, tim FlashTiming) *flash {
 		geo:    geo,
 		tim:    tim,
 		eng:    eng,
-		pages:  make([][]byte, geo.TotalPages()),
+		blocks: make([][][]byte, geo.TotalBlocks()),
 		erases: make([]uint64, geo.TotalBlocks()),
 	}
 	for i := 0; i < geo.Channels; i++ {
@@ -108,21 +114,48 @@ func (f *flash) chanFor(p PPA) *sim.Server {
 
 var errFlashBroken = fmt.Errorf("smartssd: flash failure")
 
-// read returns the page contents (zeros for an erased page).
+// discarded is the contents of a page that is programmed but no longer
+// mapped. It keeps the page non-erased without keeping its data alive.
+var discarded = []byte{}
+
+// page returns the contents of a page: nil if erased.
+func (f *flash) page(p PPA) []byte {
+	if blk := f.blocks[f.geo.blockOf(p)]; blk != nil {
+		return blk[f.geo.pageIn(p)]
+	}
+	return nil
+}
+
+// discard drops the data of a programmed page the FTL no longer maps.
+// The page stays non-erased until its block is erased.
+func (f *flash) discard(p PPA) {
+	if f.page(p) != nil {
+		f.blocks[f.geo.blockOf(p)][f.geo.pageIn(p)] = discarded
+	}
+}
+
+// read returns the page contents (zeros for an erased page). A page that
+// is programmed when the read is submitted is taken then: its contents
+// change only when its block is erased, and that erase queues behind this
+// read on the channel, so a later discard cannot change what the read
+// returns.
 func (f *flash) read(p PPA, cb func([]byte, error)) {
-	if int(p) >= len(f.pages) {
+	if int(p) >= f.geo.TotalPages() {
 		cb(nil, fmt.Errorf("smartssd: read of ppa %d beyond array", p))
 		return
 	}
 	f.reads++
+	data := f.page(p)
 	f.chanFor(p).Submit(f.tim.Read, func() {
 		if f.broken {
 			cb(nil, errFlashBroken)
 			return
 		}
 		out := make([]byte, f.geo.PageSize)
-		if f.pages[p] != nil {
-			copy(out, f.pages[p])
+		if data != nil {
+			copy(out, data)
+		} else {
+			copy(out, f.page(p))
 		}
 		cb(out, nil)
 	})
@@ -131,7 +164,7 @@ func (f *flash) read(p PPA, cb func([]byte, error)) {
 // program writes an erased page. Programming a programmed page is an FTL
 // bug and returns an error.
 func (f *flash) program(p PPA, data []byte, cb func(error)) {
-	if int(p) >= len(f.pages) {
+	if int(p) >= f.geo.TotalPages() {
 		cb(fmt.Errorf("smartssd: program of ppa %d beyond array", p))
 		return
 	}
@@ -147,11 +180,16 @@ func (f *flash) program(p PPA, data []byte, cb func(error)) {
 			cb(errFlashBroken)
 			return
 		}
-		if f.pages[p] != nil {
+		b := f.geo.blockOf(p)
+		if f.blocks[b] == nil {
+			f.blocks[b] = make([][]byte, f.geo.PagesPerBlock)
+		}
+		slot := &f.blocks[b][f.geo.pageIn(p)]
+		if *slot != nil {
 			cb(fmt.Errorf("smartssd: program of non-erased ppa %d", p))
 			return
 		}
-		f.pages[p] = buf
+		*slot = buf
 		cb(nil)
 	})
 }
@@ -168,10 +206,7 @@ func (f *flash) erase(block int, cb func(error)) {
 			cb(errFlashBroken)
 			return
 		}
-		base := block * f.geo.PagesPerBlock
-		for i := 0; i < f.geo.PagesPerBlock; i++ {
-			f.pages[base+i] = nil
-		}
+		clear(f.blocks[block])
 		f.erases[block]++
 		cb(nil)
 	})

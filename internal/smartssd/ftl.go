@@ -180,7 +180,8 @@ func (t *ftl) allocPage() (PPA, error) {
 	return 0, fmt.Errorf("smartssd: ftl out of space (gc cannot keep up)")
 }
 
-// invalidate drops the mapping for a physical page.
+// invalidate drops the mapping for a physical page and discards its
+// data.
 func (t *ftl) invalidate(ppa PPA) {
 	if ppa == invalidPPA {
 		return
@@ -188,6 +189,7 @@ func (t *ftl) invalidate(ppa PPA) {
 	if t.p2l[ppa] != invalidLPN {
 		t.p2l[ppa] = invalidLPN
 		t.validCount[t.geo.blockOf(ppa)]--
+		t.f.discard(ppa)
 	}
 }
 
@@ -324,6 +326,7 @@ func (t *ftl) relocateBlock(block, pageIdx int, done func()) {
 			} else {
 				// Stale copy: the destination page holds garbage now.
 				t.p2l[dst] = invalidLPN
+				t.f.discard(dst)
 			}
 			t.relocateBlock(block, pageIdx+1, done)
 		})

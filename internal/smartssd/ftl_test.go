@@ -2,6 +2,7 @@ package smartssd
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"nocpu/internal/sim"
@@ -309,5 +310,137 @@ func TestFTLTrim(t *testing.T) {
 			}
 		})
 	})
+	eng.Run()
+}
+
+// A read submitted before the overwrite that invalidates its page must
+// still return the old contents, although the overwrite discards the
+// page's data before the read completes.
+func TestFTLReadRacingOverwriteSeesOldData(t *testing.T) {
+	eng := sim.NewEngine()
+	ftl := newFTL(eng, newFlash(eng, testGeo(), DefaultTiming), 0.25)
+	old := bytes.Repeat([]byte{0xAA}, 4096)
+	ftl.Write(0, old, func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	eng.Run()
+	oldPPA := ftl.l2p[0]
+	// Hold the page's channel busy so the read completes after the
+	// overwrite, which programs on the other channel.
+	ftl.f.chanFor(oldPPA).Submit(sim.Millisecond, nil)
+	var got []byte
+	var readAt, writeAt sim.Time
+	ftl.Read(0, func(b []byte, err error) {
+		if err != nil {
+			t.Error(err)
+		}
+		got, readAt = b, eng.Now()
+	})
+	ftl.Write(0, bytes.Repeat([]byte{0xBB}, 4096), func(err error) {
+		if err != nil {
+			t.Error(err)
+		}
+		writeAt = eng.Now()
+	})
+	eng.Run()
+	if ftl.l2p[0] == oldPPA || ftl.geo.channelOf(ftl.geo.blockOf(ftl.l2p[0])) == ftl.geo.channelOf(ftl.geo.blockOf(oldPPA)) {
+		t.Fatalf("overwrite landed at ppa %d, want another channel than ppa %d", ftl.l2p[0], oldPPA)
+	}
+	if writeAt >= readAt {
+		t.Fatalf("overwrite completed at %v, not before the read at %v", writeAt, readAt)
+	}
+	if !bytes.Equal(got, old) {
+		t.Error("read lost the contents of a page invalidated while it was queued")
+	}
+}
+
+// A page the FTL invalidated is discarded but not erased: programming it
+// fails until its block is erased, and afterwards it works again.
+func TestFlashDiscardedPageStaysProgrammed(t *testing.T) {
+	eng := sim.NewEngine()
+	ftl := newFTL(eng, newFlash(eng, testGeo(), DefaultTiming), 0.25)
+	for i := 0; i < 2; i++ {
+		ftl.Write(0, bytes.Repeat([]byte{byte(i + 1)}, 4096), func(err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+		eng.Run()
+	}
+	stale := PPA(0)
+	if ftl.l2p[0] == stale || ftl.p2l[stale] != invalidLPN {
+		t.Fatalf("ppa %d still mapped", stale)
+	}
+	f := ftl.f
+	var perr error
+	f.program(stale, []byte("again"), func(err error) { perr = err })
+	eng.Run()
+	if perr == nil || !strings.Contains(perr.Error(), "non-erased") {
+		t.Fatalf("program of a discarded page: err=%v, want non-erased", perr)
+	}
+	var eerr error
+	f.erase(f.geo.blockOf(stale), func(err error) { eerr = err })
+	eng.Run()
+	if eerr != nil {
+		t.Fatal(eerr)
+	}
+	data := []byte("reprogrammed")
+	var got []byte
+	f.program(stale, data, func(err error) {
+		if err != nil {
+			t.Error(err)
+		}
+		f.read(stale, func(b []byte, err error) { got = b })
+	})
+	eng.Run()
+	if !bytes.Equal(got[:len(data)], data) {
+		t.Errorf("read back %q after erase and reprogram", got[:len(data)])
+	}
+}
+
+// Concurrent rewrites race GC relocation, so some relocated copies go
+// stale and are discarded. Every LPN must still read back the value its
+// last completed write stored.
+func TestFTLStaleRelocationKeepsLatestValues(t *testing.T) {
+	eng := sim.NewEngine()
+	ftl := newFTL(eng, newFlash(eng, testGeo(), DefaultTiming), 0.25)
+	const writers, lpnsPerWriter, rounds = 4, 16, 200
+	latest := map[int][]byte{}
+	for w := 0; w < writers; w++ {
+		var loop func(i int)
+		loop = func(i int) {
+			if i >= rounds {
+				return
+			}
+			lpn := w*lpnsPerWriter + (i*5)%lpnsPerWriter
+			data := bytes.Repeat([]byte{byte(lpn), byte(i)}, 2048)
+			ftl.Write(lpn, data, func(err error) {
+				if err != nil {
+					t.Errorf("write lpn %d: %v", lpn, err)
+					return
+				}
+				latest[lpn] = data
+				loop(i + 1)
+			})
+		}
+		loop(0)
+	}
+	eng.Run()
+	st := ftl.Stats()
+	stale := ftl.f.programs - st.HostWrites - st.GCPagesMoved
+	if st.GCRuns == 0 || stale == 0 {
+		t.Fatalf("gc runs %d, stale relocations %d: the race was not exercised", st.GCRuns, stale)
+	}
+	t.Logf("gc runs %d, pages moved %d, stale relocations %d", st.GCRuns, st.GCPagesMoved, stale)
+	for lpn := 0; lpn < writers*lpnsPerWriter; lpn++ {
+		want := latest[lpn]
+		ftl.Read(lpn, func(b []byte, err error) {
+			if err != nil || !bytes.Equal(b, want) {
+				t.Errorf("lpn %d: read differs from its last write (err=%v)", lpn, err)
+			}
+		})
+	}
 	eng.Run()
 }
