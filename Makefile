@@ -2,7 +2,8 @@
 # before merging: vet (of the repository and of the perfbench module),
 # the nocpu-lint analyzer suite, build, race-enabled tests, a short
 # fuzz run of the wire-format decoder, the E15 chaos tier
-# (seeded crash schedules under race), the E16 overload tier (seeded
+# (seeded crash schedules under race, each campaign's client history
+# judged by the linearizability checker), the E16 overload tier (seeded
 # open-loop load ramps under race), the E17 fabric tier (rack-scale
 # determinism, ring properties and machine-kill chaos under race),
 # the E19 reconcile tier (self-healing fleet campaigns: membership
@@ -62,11 +63,13 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDecode -fuzztime=10s ./internal/msg
 
 # Chaos tier (E15): seeded crash schedules over every machine flavor
-# under the race detector, plus the chaos-harness unit tests. Seeds are
-# fixed in the tests, so failures reproduce bit-for-bit.
+# under the race detector, plus the unit tests of the crash-schedule
+# harness and of the linearizability checker that judges every
+# campaign's client history. Seeds are fixed in the tests, so failures
+# reproduce bit-for-bit.
 chaos:
 	$(GO) test -race -run 'TestE15' ./internal/exp
-	$(GO) test -race ./internal/chaos
+	$(GO) test -race ./internal/chaos ./internal/linearize
 
 # Overload tier (E16): seeded open-loop load ramps over every machine
 # flavor under the race detector, plus the overload-harness unit tests.
@@ -77,7 +80,8 @@ overload:
 
 # Fabric tier (E17): the rack-scale package's full suite (golden-trace
 # determinism, consistent-hash ring properties, whole-machine-kill
-# chaos) plus the E17 chaos campaigns, all under the race detector.
+# chaos judged by linearizability of the client history) plus the E17
+# chaos campaigns, all under the race detector.
 # Seeds are fixed, so failures reproduce bit-for-bit. The E15/E16
 # golden tables pinned by TestTablesGolden (race tier) double as the
 # fabric-off regression diff: gating the fabric off must leave every

@@ -35,7 +35,7 @@ type centralbed struct {
 func newCentralbed(t *testing.T, mode kvs.Mode) *centralbed {
 	t.Helper()
 	cb := &centralbed{eng: sim.NewEngine()}
-	tr := trace.New(0)
+	tr := trace.New()
 	mem := physmem.MustNew(32 * 1024 * physmem.PageSize)
 	fab := interconnect.NewFabric(cb.eng, mem, interconnect.DefaultCosts)
 	// No memory controller attaches: the bus is pure transport here.

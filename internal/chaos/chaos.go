@@ -7,23 +7,13 @@
 // on the simulation engine through the fault plane's CrashAt hook so
 // message faults and lifecycle faults live in one schedule.
 //
-// The package also carries the Ledger, the oracle for the three recovery
-// guarantees the experiments assert:
-//
-//	G1 — no acked write lost: a read after recovery never returns a value
-//	     older than the newest acknowledged write for that key.
-//	G2 — no op applied twice: every read returns a value the workload
-//	     actually issued for that key, and reads never regress (a stale
-//	     duplicate applied after a newer write would surface as a
-//	     regression because every (key, attempt) value is unique).
-//	G3 — bounded recovery: after every crash event the workload completes
-//	     an acknowledged operation again within a finite virtual-time
-//	     window (the window itself is measured by the experiment; the
-//	     ledger only aggregates it).
+// The package only schedules crashes. Judging a campaign is the
+// client's job: the experiment records a linearize.History and times
+// recovery from each crash instant Arm reports.
 //
 // Determinism: Compile draws from a private sim.Rand seeded only by
 // Plan.Seed, so the same plan compiles to the same timetable on every
-// run, and the ledger's verdicts depend only on the note-call sequence.
+// run.
 package chaos
 
 import (

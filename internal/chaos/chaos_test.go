@@ -130,104 +130,3 @@ func TestArmFiresOnSchedule(t *testing.T) {
 		}
 	}
 }
-
-func TestLedgerCleanRun(t *testing.T) {
-	l := NewLedger()
-	l.NoteAttempt("k", 1)
-	l.NoteAck("k", 1)
-	l.NoteAttempt("k", 2) // crashed before ack
-	l.NoteAttempt("k", 3)
-	l.NoteAck("k", 3)
-	l.NoteRead("k", 3, true)
-	r := l.Report()
-	if r.G1Lost != 0 || r.G2Dups != 0 {
-		t.Fatalf("clean run flagged: %+v", r)
-	}
-	if !r.Clean(0) {
-		t.Fatalf("Clean() false on clean run: %+v", r)
-	}
-	if r.Attempts != 3 || r.Acks != 2 || r.Reads != 1 {
-		t.Fatalf("counters wrong: %+v", r)
-	}
-}
-
-// An unacked write may or may not survive a crash; reading it back is
-// legal as long as it does not shadow a newer acked write.
-func TestLedgerUnackedWriteSurvives(t *testing.T) {
-	l := NewLedger()
-	l.NoteAttempt("k", 1)
-	l.NoteAck("k", 1)
-	l.NoteAttempt("k", 2) // never acked
-	l.NoteRead("k", 2, true)
-	if r := l.Report(); r.G1Lost != 0 || r.G2Dups != 0 {
-		t.Fatalf("surviving unacked write flagged: %+v", r)
-	}
-}
-
-func TestLedgerG1Violations(t *testing.T) {
-	l := NewLedger()
-	l.NoteAttempt("a", 1)
-	l.NoteAck("a", 1)
-	l.NoteAttempt("a", 2)
-	l.NoteAck("a", 2)
-	l.NoteRead("a", 1, true) // regressed below acked 2
-	l.NoteAttempt("b", 1)
-	l.NoteAck("b", 1)
-	l.NoteRead("b", 0, false) // acked key vanished
-	r := l.Report()
-	if r.G1Lost != 2 {
-		t.Fatalf("want 2 G1 violations, got %+v", r)
-	}
-	if r.Clean(0) {
-		t.Fatal("Clean() true despite G1 violations")
-	}
-	if len(r.Violations) != 2 {
-		t.Fatalf("want 2 violation notes, got %v", r.Violations)
-	}
-}
-
-func TestLedgerG2Violations(t *testing.T) {
-	l := NewLedger()
-	l.NoteAttempt("a", 1)
-	l.NoteRead("a", 7, true) // value never issued
-	l.NoteAttempt("b", 1)
-	l.NoteAttempt("b", 2)
-	l.NoteRead("b", 2, true)
-	l.NoteRead("b", 1, true) // regression: stale duplicate re-applied
-	r := l.Report()
-	if r.G2Dups != 2 {
-		t.Fatalf("want 2 G2 violations, got %+v", r)
-	}
-}
-
-func TestLedgerAbsentUnackedKeyOK(t *testing.T) {
-	l := NewLedger()
-	l.NoteAttempt("k", 1) // lost before ack: absence is legal
-	l.NoteRead("k", 0, false)
-	if r := l.Report(); r.G1Lost != 0 || r.G2Dups != 0 {
-		t.Fatalf("absent unacked key flagged: %+v", r)
-	}
-}
-
-func TestReportG3Bound(t *testing.T) {
-	r := Report{Recoveries: []sim.Duration{ms(2), ms(9)}}
-	if got := r.MaxRecovery(); got != ms(9) {
-		t.Fatalf("MaxRecovery = %v, want %v", got, ms(9))
-	}
-	if !r.Clean(ms(10)) {
-		t.Fatal("Clean(10ms) false for max 9ms")
-	}
-	if r.Clean(ms(5)) {
-		t.Fatal("Clean(5ms) true for max 9ms")
-	}
-}
-
-func TestLedgerKeysSorted(t *testing.T) {
-	l := NewLedger()
-	for _, k := range []string{"b", "a", "c"} {
-		l.NoteAttempt(k, 1)
-	}
-	if got := l.Keys(); !reflect.DeepEqual(got, []string{"a", "b", "c"}) {
-		t.Fatalf("Keys() = %v", got)
-	}
-}

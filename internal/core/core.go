@@ -169,7 +169,7 @@ func New(opts Options) (*System, error) {
 		Rand: sim.NewRand(opts.Seed ^ 0x6e6f637075), // "nocpu"
 	}
 	if !opts.NoTrace {
-		s.Tracer = trace.New(0)
+		s.Tracer = trace.New()
 	}
 	var err error
 	s.Mem, err = physmem.New(opts.MemoryBytes)

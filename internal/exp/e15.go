@@ -1,13 +1,13 @@
 package exp
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"nocpu/internal/chaos"
 	"nocpu/internal/core"
 	"nocpu/internal/faultinject"
 	"nocpu/internal/kvs"
+	"nocpu/internal/linearize"
 	"nocpu/internal/metrics"
 	"nocpu/internal/sim"
 )
@@ -16,17 +16,16 @@ import (
 // seeded chaos schedule kills the NIC, the SSD and the control-plane
 // device (memory controller or CPU kernel) — including one coordinated
 // double-failure — in the middle of a KVS write workload, on both
-// machine architectures. The chaos ledger asserts the three recovery
-// guarantees (G1 no acked write lost, G2 no op applied twice, G3 every
-// crash recovered within a bounded virtual-time window), and the bus
+// machine architectures. The client history must be linearizable (L1:
+// no acked write lost, no op applied twice), every crash must be
+// recovered within a bounded virtual-time window (G3), and the bus
 // incarnation counters show the rejoin protocol fencing the old life's
 // messages.
 
-// E15 tuning. The client-side op timeout must exceed the worst-case
+// E15 tuning. The client-side op timeout exceeds the worst-case
 // in-system lifetime of a write (the mediated retrier exhausts its
-// budget in under 100ms of virtual time): a worker only reuses a key
-// after the previous write to it is either resolved or provably dead,
-// which is what makes the ledger's per-key value ordering sound.
+// budget in under 100ms of virtual time), so a put that times out died
+// with a crashed device rather than sitting in a queue.
 const (
 	e15Workers   = 4
 	e15KeysPer   = 8
@@ -89,99 +88,12 @@ func e15Targets(kind machineKind, sys *core.System, names []string) []chaos.Targ
 	return out
 }
 
-func e15Value(v uint64) []byte {
-	b := make([]byte, 8)
-	binary.LittleEndian.PutUint64(b, v)
-	return b
-}
-
-// e15Driver is the per-op-timeout write workload plus the recovery
-// prober. netsim's closed loop cannot drive a crashing machine — an op
-// lost in a crash would stall it forever — so every op here carries its
-// own virtual-time timeout and the worker moves on.
+// e15Driver adds the machine-level parts of the campaign to the shared
+// client: a recovery prober and an asynchronous read-back sweep, both
+// driving the NIC directly.
 type e15Driver struct {
 	rig *kvsRig
-	led *chaos.Ledger
-
-	stopAt  sim.Time
-	nextVal uint64
-	puts    uint64
-	acks    uint64
-	tmouts  uint64
-	errs    uint64
-	done    int
-
-	pending   []sim.Time // crash instants not yet followed by a success
-	recovered []sim.Duration
-}
-
-// noteProgress marks service restored: any acknowledged operation closes
-// every crash window still open.
-func (d *e15Driver) noteProgress() {
-	if len(d.pending) == 0 {
-		return
-	}
-	now := d.rig.sys.Eng.Now()
-	for _, at := range d.pending {
-		d.recovered = append(d.recovered, now.Sub(at))
-	}
-	d.pending = d.pending[:0]
-}
-
-// worker runs one closed loop over its own key partition (no two workers
-// share a key, so per-key write order equals issue order).
-func (d *e15Driver) worker(w int) {
-	eng := d.rig.sys.Eng
-	keyIdx := 0
-	var issue func()
-	issue = func() {
-		if eng.Now() >= d.stopAt {
-			d.done++
-			return
-		}
-		key := keyName(w*e15KeysPer + keyIdx)
-		keyIdx = (keyIdx + 1) % e15KeysPer
-		d.nextVal++
-		val := d.nextVal
-		d.led.NoteAttempt(key, val)
-		d.puts++
-		resolved := false
-		var tm *sim.Timer
-		req := kvs.EncodeRequest(kvs.Request{Op: kvs.OpPut, Key: key, Value: e15Value(val)})
-		d.rig.sys.NIC().Deliver(d.rig.store.AppID(), req, func(b []byte) {
-			resp, err := kvs.DecodeResponse(b)
-			ok := err == nil && resp.Status == kvs.StatusOK
-			if ok {
-				// Count the ack even if it raced the timeout: the client
-				// was told the write succeeded, so G1 must cover it.
-				d.led.NoteAck(key, val)
-				d.acks++
-				d.noteProgress()
-			}
-			if resolved {
-				return
-			}
-			resolved = true
-			if tm != nil {
-				tm.Stop()
-			}
-			if !ok {
-				d.errs++
-				eng.After(e15ErrBackoff, issue)
-				return
-			}
-			issue()
-		})
-		tm = eng.After(e15OpTimeout, func() {
-			if resolved {
-				return
-			}
-			resolved = true
-			d.tmouts++
-			issue()
-		})
-	}
-	issue()
+	c   *campaignClient
 }
 
 // probe polls a warm key with short gets while a crash window is open,
@@ -191,14 +103,14 @@ func (d *e15Driver) probe() {
 	eng := d.rig.sys.Eng
 	var tick func()
 	tick = func() {
-		if eng.Now() >= d.stopAt && len(d.pending) == 0 {
+		if eng.Now() >= d.c.stopAt && len(d.c.pending) == 0 {
 			return
 		}
-		if len(d.pending) > 0 {
+		if len(d.c.pending) > 0 {
 			req := kvs.EncodeRequest(kvs.Request{Op: kvs.OpGet, Key: keyName(0)})
-			d.rig.sys.NIC().Deliver(d.rig.store.AppID(), req, func(b []byte) {
+			d.c.send(req, func(b []byte) {
 				if resp, err := kvs.DecodeResponse(b); err == nil && resp.Status == kvs.StatusOK {
-					d.noteProgress()
+					d.c.progress()
 				}
 			})
 		}
@@ -207,11 +119,11 @@ func (d *e15Driver) probe() {
 	tick()
 }
 
-// readback sweeps every key the workload touched, retrying transient
-// unavailability, and feeds the results to the ledger's G1/G2 checks.
+// readback sweeps every key the workload touched into the history,
+// retrying while the store answers ambiguously or not at all.
 func (d *e15Driver) readback() {
 	eng := d.rig.sys.Eng
-	keys := d.led.Keys()
+	keys := d.c.keys()
 	done := false
 	i := 0
 	var next func()
@@ -220,7 +132,6 @@ func (d *e15Driver) readback() {
 			done = true
 			return
 		}
-		key := keys[i]
 		resolved := false
 		var tm *sim.Timer
 		retry := func() {
@@ -230,10 +141,8 @@ func (d *e15Driver) readback() {
 			resolved = true
 			eng.After(500*sim.Microsecond, next)
 		}
-		req := kvs.EncodeRequest(kvs.Request{Op: kvs.OpGet, Key: key})
-		d.rig.sys.NIC().Deliver(d.rig.store.AppID(), req, func(b []byte) {
-			resp, err := kvs.DecodeResponse(b)
-			if err != nil || resp.Status == kvs.StatusError || resp.Status == kvs.StatusUnavailable {
+		d.c.call(linearize.Get, keys[i], 0, func(out linearize.Outcome) {
+			if out != linearize.OK && out != linearize.NotFound {
 				retry() // store mid-recovery; ask again
 				return
 			}
@@ -244,14 +153,8 @@ func (d *e15Driver) readback() {
 			if tm != nil {
 				tm.Stop()
 			}
-			if resp.Status == kvs.StatusNotFound {
-				d.led.NoteRead(key, 0, false)
-			} else if v := resp.Value; len(v) == 8 {
-				d.led.NoteRead(key, binary.LittleEndian.Uint64(v), true)
-				d.noteProgress()
-			} else {
-				// Corrupt value: report it as a never-issued read.
-				d.led.NoteRead(key, ^uint64(0), true)
+			if out == linearize.OK {
+				d.c.progress()
 			}
 			i++
 			next()
@@ -264,13 +167,16 @@ func (d *e15Driver) readback() {
 
 // e15Row is one (machine, schedule) cell's outcome.
 type e15Row struct {
-	report  chaos.Report
-	crashes int
-	puts    uint64
-	tmouts  uint64
-	errs    uint64
-	rejoins uint64
-	fenced  uint64
+	lin       linearize.Result
+	crashes   int
+	puts      uint64
+	acked     uint64
+	tmouts    uint64
+	errs      uint64
+	recovered []sim.Duration
+	maxRecov  sim.Duration
+	rejoins   uint64
+	fenced    uint64
 }
 
 // e15Run executes one chaos campaign on a fresh machine. Exercised with
@@ -300,40 +206,34 @@ func e15Run(kind machineKind, sc e15Sched, seed uint64) e15Row {
 	}
 	sched := plan.MustCompile()
 
-	d := &e15Driver{rig: rig, led: chaos.NewLedger()}
-	d.stopAt = plan.Start.Add(e15Window + e15Tail)
+	send := func(req []byte, reply func([]byte)) { rig.sys.NIC().Deliver(rig.store.AppID(), req, reply) }
+	d := &e15Driver{rig: rig, c: newCampaignClient(eng, send, e15OpTimeout, e15ErrBackoff)}
+	d.c.stopAt = plan.Start.Add(e15Window + e15Tail)
 	plane := faultinject.New(seed)
-	//lint:allow boundedqueue at most Plan.Crashes events ever arm, and noteProgress drains on every ack
-	sched.Arm(eng, plane, func(ev chaos.Event) { d.pending = append(d.pending, ev.At) })
+	sched.Arm(eng, plane, func(ev chaos.Event) { d.c.crashed(ev.At) })
 	for w := 0; w < e15Workers; w++ {
-		d.worker(w)
+		keys := make([]string, e15KeysPer)
+		for i := range keys {
+			keys[i] = keyName(w*e15KeysPer + i)
+		}
+		d.c.writer(keys)
 	}
 	d.probe()
-	allDone := false
-	check := func() bool { return d.done == e15Workers }
-	for !allDone {
-		deadline := eng.Now().Add(30 * sim.Second)
-		for !check() && eng.Now() < deadline {
-			eng.RunFor(sim.Millisecond)
-		}
-		if !check() {
-			panic("exp: e15 workload did not drain (an op neither acked nor timed out)")
-		}
-		allDone = true
-	}
+	d.c.wait(e15Workers)
 	d.readback()
 
-	rep := d.led.Report()
-	rep.Recoveries = d.recovered
 	bs := rig.sys.Bus.Stats()
 	return e15Row{
-		report:  rep,
-		crashes: sc.crashes,
-		puts:    d.puts,
-		tmouts:  d.tmouts,
-		errs:    d.errs,
-		rejoins: bs.Rejoins,
-		fenced:  bs.DeadSenderDropped,
+		lin:       linearize.Check(d.c.hist),
+		crashes:   sc.crashes,
+		puts:      d.c.puts,
+		acked:     d.c.acked(),
+		tmouts:    d.c.tmouts,
+		errs:      d.c.errs,
+		recovered: d.c.recovered,
+		maxRecov:  d.c.maxRecovery(),
+		rejoins:   bs.Rejoins,
+		fenced:    bs.DeadSenderDropped,
 	}
 }
 
@@ -343,20 +243,19 @@ func E15CrashRecovery() *Result {
 	tb := metrics.NewTable(
 		fmt.Sprintf("seeded crash schedules mid-KVS-write-workload (%d workers x %d keys, %v window)",
 			e15Workers, e15Workers*e15KeysPer, e15Window),
-		"machine", "schedule", "crashes", "puts", "acked", "timeouts", "lost acked (G1)",
-		"dup applies (G2)", "recovered", "max recovery", "rejoins", "fenced msgs")
+		"machine", "schedule", "crashes", "puts", "acked", "timeouts", "L1 history",
+		"recovered", "max recovery", "rejoins", "fenced msgs")
 	for _, kind := range []machineKind{kindDecentralized, kindCentralDirect, kindCentralMediated} {
 		for i, sc := range e15Scheds {
 			row := e15Run(kind, sc, 0xE15+uint64(i))
-			recovered := fmt.Sprintf("%d/%d", len(row.report.Recoveries), row.crashes)
-			tb.AddRow(kind.label(), sc.name, row.crashes, row.puts, row.report.Acks,
-				row.tmouts, row.report.G1Lost, row.report.G2Dups, recovered,
-				row.report.MaxRecovery(), row.rejoins, row.fenced)
+			recovered := fmt.Sprintf("%d/%d", len(row.recovered), row.crashes)
+			tb.AddRow(kind.label(), sc.name, row.crashes, row.puts, row.acked,
+				row.tmouts, l1Verdict(row.lin), recovered, row.maxRecov, row.rejoins, row.fenced)
 		}
 	}
 	res.Tables = append(res.Tables, tb)
 	res.Notes = append(res.Notes,
-		"G1/G2 are asserted by the chaos ledger: every write's value is unique per (key, attempt), so a lost acked write or a resurrected stale write is visible in the final read-back sweep",
+		"L1 is the Wing–Gong linearizability check over the client history, workload puts plus the final read-back sweep: every put writes a fresh value, so a lost acked write, a resurrected stale write or a corrupt read has no sequential explanation; timed-out and errored puts may take effect or not",
 		"recovery is timed from the crash instant to the next acknowledged operation (a short-timeout get prober runs while any crash window is open)",
 		"control-plane crashes separate the architectures: the decentralized data plane never notices a dead memory controller, while the kernel-mediated column pays a full outage per kernel reboot",
 		"fenced msgs counts old-incarnation traffic the bus dropped after a crashed device rejoined with a bumped incarnation (DeadSenderDropped)")

@@ -1,11 +1,11 @@
 package exp
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"nocpu/internal/fabric"
 	"nocpu/internal/kvs"
+	"nocpu/internal/linearize"
 	"nocpu/internal/metrics"
 	"nocpu/internal/msg"
 	"nocpu/internal/netsim"
@@ -21,9 +21,10 @@ import (
 //     centralos head node relays every cross-machine request? Under
 //     uniform and Zipf-skewed key popularity.
 //  2. Resilience — when whole machines are killed mid-workload, does
-//     the fabric uphold R1 (no acked write lost), R2 (no duplicate
-//     apply) and R3 (all keys routable after recovery), and how wide
-//     is the outage window under each control architecture?
+//     the client history stay linearizable (L1: no acked write lost,
+//     no duplicate apply) with every key routable after recovery (R3),
+//     and how wide is the outage window under each control
+//     architecture?
 
 // E17 tuning. Workload size and concurrency scale with N (fixed
 // per-machine offered work) so the table measures scaling, not
@@ -33,9 +34,9 @@ import (
 // the two control architectures differ in — rather than by flash
 // latency, which is identical for both. Replicated writes are measured
 // by the preload and stressed by the chaos table. The chaos client op
-// timeout must exceed the fabric's in-system write lifetime (ingress
-// forwarding gives up after the router's 10ms DefaultOpTimeout) so per-key
-// order is preserved across driver retries.
+// timeout exceeds the fabric's in-system write lifetime (ingress
+// forwarding gives up after the router's 10ms DefaultOpTimeout), so a
+// timeout means the write died with a machine.
 const (
 	e17ValSize     = 64
 	e17KeysPerMach = 64
@@ -86,15 +87,7 @@ func e17Target(cl *fabric.Cluster) netsim.Target {
 }
 
 // e17Drain advances the shared engine until done.
-func e17Drain(cl *fabric.Cluster, done *bool) {
-	deadline := cl.Eng.Now().Add(30 * sim.Second)
-	for !*done && cl.Eng.Now() < deadline {
-		cl.Eng.RunFor(sim.Millisecond)
-	}
-	if !*done {
-		panic("exp: e17 workload did not drain")
-	}
-}
+func e17Drain(cl *fabric.Cluster, done *bool) { runUntil(cl.Eng, func() bool { return *done }) }
 
 // e17Scale runs one scaling cell: a replicated put preload, then a
 // closed-loop get workload over uniform or Zipf keys.
@@ -153,135 +146,16 @@ func e17Scale(n int, flavor fabric.Flavor, zipf bool) (netsim.Stats, fabric.Rout
 
 // e17ChaosRow is one machine-kill campaign's outcome.
 type e17ChaosRow struct {
-	rep      fabric.Report
-	stats    fabric.RouterStats
-	puts     uint64
-	tmouts   uint64
-	errs     uint64
-	kills    int
-	maxEpoch uint32
-}
-
-// e17ChaosDriver is the per-op-timeout workload for the kill campaigns
-// (netsim's closed loop cannot drive a crashing fabric — an op lost in
-// a machine kill would stall its worker forever).
-type e17ChaosDriver struct {
-	cl  *fabric.Cluster
-	led *fabric.Ledger
-
-	stopAt  sim.Time
-	nextVal uint64
-	rr      int
-	puts    uint64
-	tmouts  uint64
-	errs    uint64
-	done    int
-
-	pending   []sim.Time
-	recovered []sim.Duration
-}
-
-func (d *e17ChaosDriver) ingress() msg.DeviceID {
-	live := d.cl.LiveIDs()
-	d.rr++
-	return live[d.rr%len(live)]
-}
-
-func (d *e17ChaosDriver) noteProgress() {
-	if len(d.pending) == 0 {
-		return
-	}
-	now := d.cl.Eng.Now()
-	for _, at := range d.pending {
-		d.recovered = append(d.recovered, now.Sub(at))
-	}
-	d.pending = d.pending[:0]
-}
-
-func (d *e17ChaosDriver) worker(w int) {
-	eng := d.cl.Eng
-	keyIdx := 0
-	var issue func()
-	issue = func() {
-		if eng.Now() >= d.stopAt {
-			d.done++
-			return
-		}
-		key := e17Key(w*e17ChaosKeysPer + keyIdx)
-		keyIdx = (keyIdx + 1) % e17ChaosKeysPer
-		d.nextVal++
-		val := d.nextVal
-		d.led.NoteAttempt(key, val)
-		d.puts++
-		resolved := false
-		var tm *sim.Timer
-		req := kvs.EncodeRequest(kvs.Request{Op: kvs.OpPut, Key: key, Value: e15Value(val)})
-		d.cl.Ingress(d.ingress())(req, func(b []byte) {
-			resp, err := kvs.DecodeResponse(b)
-			ok := err == nil && resp.Status == kvs.StatusOK
-			if ok {
-				d.led.NoteAck(key, val)
-				d.noteProgress()
-			}
-			if resolved {
-				return
-			}
-			resolved = true
-			if tm != nil {
-				tm.Stop()
-			}
-			if !ok {
-				d.errs++
-				eng.After(e17ChaosBackoff, issue)
-				return
-			}
-			issue()
-		})
-		tm = eng.After(e17ChaosTimeout, func() {
-			if resolved {
-				return
-			}
-			resolved = true
-			d.tmouts++
-			issue()
-		})
-	}
-	issue()
-}
-
-// readback sweeps every touched key; a key with no definitive answer
-// after the retry budget is unroutable (R3 violation).
-func (d *e17ChaosDriver) readback() {
-	eng := d.cl.Eng
-	for _, key := range d.led.Keys() {
-		settled := false
-		for attempt := 0; attempt < 40 && !settled; attempt++ {
-			var resp kvs.Response
-			got := false
-			req := kvs.EncodeRequest(kvs.Request{Op: kvs.OpGet, Key: key})
-			d.cl.Ingress(d.ingress())(req, func(b []byte) {
-				if r, err := kvs.DecodeResponse(b); err == nil {
-					resp, got = r, true
-				}
-			})
-			lim := eng.Now().Add(20 * sim.Millisecond)
-			for !got && eng.Now() < lim {
-				eng.RunFor(100 * sim.Microsecond)
-			}
-			if got && resp.Status == kvs.StatusOK && len(resp.Value) == 8 {
-				d.led.NoteRead(key, binary.LittleEndian.Uint64(resp.Value), true)
-				settled = true
-			} else if got && resp.Status == kvs.StatusNotFound {
-				d.led.NoteRead(key, 0, false)
-				settled = true
-			} else {
-				eng.RunFor(500 * sim.Microsecond)
-			}
-		}
-		if !settled {
-			d.led.NoteUnroutable(key)
-		}
-	}
+	lin        linearize.Result
+	unroutable []string
+	recovered  []sim.Duration
+	maxRecov   sim.Duration
+	stats      fabric.RouterStats
+	puts       uint64
+	acked      uint64
+	tmouts     uint64
+	kills      int
+	maxEpoch   uint32
 }
 
 // e17Chaos runs one machine-kill campaign: a write workload over an
@@ -295,8 +169,8 @@ func (d *e17ChaosDriver) readback() {
 func e17Chaos(flavor fabric.Flavor, victims []msg.DeviceID, seed uint64) e17ChaosRow {
 	cl := e17Cluster(e17ChaosN, flavor, seed, 0)
 	eng := cl.Eng
-	d := &e17ChaosDriver{cl: cl, led: fabric.NewLedger()}
-	d.stopAt = eng.Now().Add(e17ChaosWarmup + e17ChaosWindow + e17ChaosTail)
+	c := newCampaignClient(eng, e17Target(cl), e17ChaosTimeout, e17ChaosBackoff)
+	c.stopAt = eng.Now().Add(e17ChaosWarmup + e17ChaosWindow + e17ChaosTail)
 
 	// Spread kills across the window, 10ms apart (>> one failover+resync).
 	first := eng.Now().Add(e17ChaosWarmup + 5*sim.Millisecond)
@@ -305,28 +179,25 @@ func e17Chaos(flavor fabric.Flavor, victims []msg.DeviceID, seed uint64) e17Chao
 		v := v
 		eng.At(at, func() {
 			cl.Kill(v)
-			//lint:allow boundedqueue a handful of scripted kills, drained on every ack
-			d.pending = append(d.pending, at)
+			c.crashed(at)
 		})
 	}
 	for w := 0; w < e17ChaosWorkers; w++ {
-		d.worker(w)
+		keys := make([]string, e17ChaosKeysPer)
+		for i := range keys {
+			keys[i] = e17Key(w*e17ChaosKeysPer + i)
+		}
+		c.writer(keys)
 	}
-	deadline := eng.Now().Add(30 * sim.Second)
-	for d.done != e17ChaosWorkers && eng.Now() < deadline {
-		eng.RunFor(sim.Millisecond)
-	}
-	if d.done != e17ChaosWorkers {
-		panic("exp: e17 chaos workload did not drain")
-	}
+	c.wait(e17ChaosWorkers)
 	eng.RunFor(e17ChaosSettle)
-	d.readback()
+	unroutable := c.sweep()
 
-	rep := d.led.Report()
-	rep.Recoveries = d.recovered
 	return e17ChaosRow{
-		rep: rep, stats: cl.RouterStatsSum(), puts: d.puts, tmouts: d.tmouts,
-		errs: d.errs, kills: len(victims), maxEpoch: cl.MaxEpoch(),
+		lin: linearize.Check(c.hist), unroutable: unroutable,
+		recovered: c.recovered, maxRecov: c.maxRecovery(),
+		stats: cl.RouterStatsSum(), puts: c.puts, acked: c.acked(), tmouts: c.tmouts,
+		kills: len(victims), maxEpoch: cl.MaxEpoch(),
 	}
 }
 
@@ -372,15 +243,15 @@ func E17Fabric() *Result {
 	chaos := metrics.NewTable(
 		fmt.Sprintf("machine-kill chaos on an %d-machine rack (%d workers, sequential kills 10ms apart)",
 			e17ChaosN, e17ChaosWorkers),
-		"flavor", "kills", "puts", "acked", "timeouts", "lost acked (R1)",
-		"dup applies (R2)", "unroutable (R3)", "recovered", "max recovery",
+		"flavor", "kills", "puts", "acked", "timeouts", "L1 history",
+		"unroutable (R3)", "recovered", "max recovery",
 		"max epoch", "resyncs")
 	for i, fc := range e17Flavors {
 		row := e17Chaos(fc.flavor, fc.victims, 0xE17C+uint64(i))
-		recovered := fmt.Sprintf("%d/%d", len(row.rep.Recoveries), row.kills)
-		chaos.AddRow(fc.flavor.String(), row.kills, row.puts, row.rep.Acks, row.tmouts,
-			row.rep.G1Lost, row.rep.G2Dups, len(row.rep.Unroutable), recovered,
-			row.rep.MaxRecovery(), row.maxEpoch, row.stats.Resyncs)
+		recovered := fmt.Sprintf("%d/%d", len(row.recovered), row.kills)
+		chaos.AddRow(fc.flavor.String(), row.kills, row.puts, row.acked, row.tmouts,
+			l1Verdict(row.lin), len(row.unroutable), recovered,
+			row.maxRecov, row.maxEpoch, row.stats.Resyncs)
 	}
 	res.Tables = append(res.Tables, chaos)
 
@@ -388,7 +259,7 @@ func E17Fabric() *Result {
 		"every machine is a complete emulated system (bus, NIC, SSD, memory controller) sharing ONE deterministic event loop; the fabric models per-link latency plus per-byte serialization, and peer frames contend with client traffic in each NIC's rx queue",
 		"decentralized: every smart NIC owns a consistent-hash ring and routes/replicates for itself; head-node: a centralos machine relays all cross-machine requests and is the membership authority — its rx queue is the scaling bottleneck the throughput and relayed columns expose",
 		"the measured phase is a get workload with the NIC value cache enabled (write-through replicated puts keep it coherent), so the bottleneck under test is the fabric and control architecture, not flash latency; replicated writes are exercised by the preload and the chaos table",
-		"R1/R2 are judged by the fabric ledger from client-visible evidence only (unique per-key increasing values); R3 is the read-back sweep finding every touched key routable after failover",
+		"L1 is the Wing–Gong linearizability check over the client history (workload puts plus the read-back sweep), from client-visible evidence only: every put writes a fresh value, so a lost acked write (R1) or a duplicate apply (R2) has no sequential explanation; R3 is the read-back sweep finding every touched key routable after failover",
 		"sequential kills only: at replication factor 2, killing a replica pair inside one resync window legitimately loses data — the fabric's guarantee is surviving any sequence of single-machine failures",
 		"the head node is never a chaos victim: it is a single point of failure by construction, which is the architectural contrast under test")
 	return res

@@ -11,9 +11,10 @@ import (
 )
 
 // TestE17ChaosClean is the fabric tier's hard gate: every machine-kill
-// campaign must uphold R1 (no acked write lost), R2 (no duplicate
-// apply) and R3 (every touched key routable after recovery), with every
-// outage window bounded. Runs under -race via `make fabric`.
+// campaign's client history must be linearizable (L1: no acked write
+// lost, no duplicate apply), every touched key routable after recovery
+// (R3), and every outage window bounded. Runs under -race via
+// `make fabric`.
 func TestE17ChaosClean(t *testing.T) {
 	for i, fc := range e17Flavors {
 		fc := fc
@@ -21,22 +22,22 @@ func TestE17ChaosClean(t *testing.T) {
 		t.Run(fc.flavor.String(), func(t *testing.T) {
 			t.Parallel()
 			row := e17Chaos(fc.flavor, fc.victims, seed)
-			if row.rep.G1Lost != 0 {
-				t.Errorf("R1 violated: %d acked writes lost: %v", row.rep.G1Lost, row.rep.Violations)
+			if !row.lin.OK {
+				t.Errorf("L1 violated: history for key %q not linearizable", row.lin.BadKey)
 			}
-			if row.rep.G2Dups != 0 {
-				t.Errorf("R2 violated: %d duplicate applies: %v", row.rep.G2Dups, row.rep.Violations)
+			if len(row.lin.Aborted) != 0 {
+				t.Errorf("L1 checker aborted on keys %v — verdict unknown", row.lin.Aborted)
 			}
-			if len(row.rep.Unroutable) != 0 {
-				t.Errorf("R3 violated: unroutable keys: %v", row.rep.Unroutable)
+			if len(row.unroutable) != 0 {
+				t.Errorf("R3 violated: unroutable keys: %v", row.unroutable)
 			}
-			if !row.rep.CleanFabric(e17RecoveryBound) {
-				t.Errorf("recovery exceeded %v: %v", e17RecoveryBound, row.rep.Recoveries)
+			if row.maxRecov > e17RecoveryBound {
+				t.Errorf("recovery exceeded %v: %v", e17RecoveryBound, row.recovered)
 			}
-			if len(row.rep.Recoveries) < row.kills {
-				t.Errorf("only %d/%d kills saw service restored", len(row.rep.Recoveries), row.kills)
+			if len(row.recovered) < row.kills {
+				t.Errorf("only %d/%d kills saw service restored", len(row.recovered), row.kills)
 			}
-			if row.rep.Acks == 0 {
+			if row.acked == 0 {
 				t.Error("campaign acked nothing")
 			}
 			if row.maxEpoch != 2 {

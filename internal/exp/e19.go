@@ -1,13 +1,13 @@
 package exp
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"nocpu/internal/fabric"
-	"nocpu/internal/kvs"
+	"nocpu/internal/linearize"
 	"nocpu/internal/metrics"
 	"nocpu/internal/msg"
+	"nocpu/internal/netsim"
 	"nocpu/internal/reconcile"
 	"nocpu/internal/sim"
 )
@@ -20,7 +20,8 @@ import (
 // verdicts per cell:
 //
 //	C1 — every divergence (kill, spec change) converges within the bound
-//	C2 — no acked write lost across any reconcile action (fabric R1/R2)
+//	C2 — no acked write lost across any reconcile action (L1 over the
+//	     client history, read-back sweep included)
 //	C3 — voluntary disruption never exceeds the maxUnavailable budget
 //	R3 — every touched key routable once the dust settles
 //
@@ -67,130 +68,18 @@ func e19Keys() []string {
 	return out
 }
 
-// e19Driver is the campaign workload: the e17 per-op-timeout write loop
-// extended with a put-latency histogram and bucketed goodput, so the
-// table can show the dip reconcile actions cost the client.
-type e19Driver struct {
-	cl  *fabric.Cluster
-	led *fabric.Ledger
-
-	start   sim.Time
-	stopAt  sim.Time
-	nextVal uint64
-	rr      int
-	puts    uint64
-	tmouts  uint64
-	errs    uint64
-	done    int
-
-	lat     *metrics.Histogram
-	buckets []uint64 // acks per e19Bucket, fixed length — no growth mid-run
-}
-
-// ingress round-robins over the machines currently serving (alive, in
+// e19Target round-robins over the machines currently serving (alive, in
 // ring, not cordoned); any of them can route any key. Falls back to any
 // live machine in the instant between a kill and the repair commit.
-func (d *e19Driver) ingress() msg.DeviceID {
-	ids := d.cl.ServingIDs()
-	if len(ids) == 0 {
-		ids = d.cl.LiveIDs()
-	}
-	d.rr++
-	return ids[d.rr%len(ids)]
-}
-
-func (d *e19Driver) bucketAck() {
-	i := int(d.cl.Eng.Now().Sub(d.start) / e19Bucket)
-	if i >= 0 && i < len(d.buckets) {
-		d.buckets[i]++
-	}
-}
-
-func (d *e19Driver) worker(w int) {
-	eng := d.cl.Eng
-	keyIdx := 0
-	var issue func()
-	issue = func() {
-		if eng.Now() >= d.stopAt {
-			d.done++
-			return
+func e19Target(cl *fabric.Cluster) netsim.Target {
+	rr := 0
+	return func(p []byte, reply func([]byte)) {
+		ids := cl.ServingIDs()
+		if len(ids) == 0 {
+			ids = cl.LiveIDs()
 		}
-		key := e19Key(w*e19KeysPer + keyIdx)
-		keyIdx = (keyIdx + 1) % e19KeysPer
-		d.nextVal++
-		val := d.nextVal
-		d.led.NoteAttempt(key, val)
-		d.puts++
-		issued := eng.Now()
-		resolved := false
-		var tm *sim.Timer
-		req := kvs.EncodeRequest(kvs.Request{Op: kvs.OpPut, Key: key, Value: e15Value(val)})
-		d.cl.Ingress(d.ingress())(req, func(b []byte) {
-			resp, err := kvs.DecodeResponse(b)
-			ok := err == nil && resp.Status == kvs.StatusOK
-			if ok {
-				d.led.NoteAck(key, val)
-				d.bucketAck()
-			}
-			if resolved {
-				return
-			}
-			resolved = true
-			if tm != nil {
-				tm.Stop()
-			}
-			if !ok {
-				d.errs++
-				eng.After(e19Backoff, issue)
-				return
-			}
-			d.lat.Observe(eng.Now().Sub(issued))
-			issue()
-		})
-		tm = eng.After(e19Timeout, func() {
-			if resolved {
-				return
-			}
-			resolved = true
-			d.tmouts++
-			issue()
-		})
-	}
-	issue()
-}
-
-// readback sweeps every touched key once the fleet has converged; a key
-// with no definitive answer after the retry budget is an R3 violation.
-func (d *e19Driver) readback() {
-	eng := d.cl.Eng
-	for _, key := range d.led.Keys() {
-		settled := false
-		for attempt := 0; attempt < 40 && !settled; attempt++ {
-			var resp kvs.Response
-			got := false
-			req := kvs.EncodeRequest(kvs.Request{Op: kvs.OpGet, Key: key})
-			d.cl.Ingress(d.ingress())(req, func(b []byte) {
-				if r, err := kvs.DecodeResponse(b); err == nil {
-					resp, got = r, true
-				}
-			})
-			lim := eng.Now().Add(20 * sim.Millisecond)
-			for !got && eng.Now() < lim {
-				eng.RunFor(100 * sim.Microsecond)
-			}
-			if got && resp.Status == kvs.StatusOK && len(resp.Value) == 8 {
-				d.led.NoteRead(key, binary.LittleEndian.Uint64(resp.Value), true)
-				settled = true
-			} else if got && resp.Status == kvs.StatusNotFound {
-				d.led.NoteRead(key, 0, false)
-				settled = true
-			} else {
-				eng.RunFor(500 * sim.Microsecond)
-			}
-		}
-		if !settled {
-			d.led.NoteUnroutable(key)
-		}
+		rr++
+		cl.Ingress(ids[rr%len(ids)])(p, reply)
 	}
 }
 
@@ -275,10 +164,12 @@ type e19Row struct {
 	flavor fabric.Flavor
 	kills  int
 
-	rep   fabric.Report
-	fleet reconcile.Report
+	lin        linearize.Result
+	unroutable []string
+	fleet      reconcile.Report
 
 	puts   uint64
+	acked  uint64
 	tmouts uint64
 	errs   uint64
 
@@ -288,6 +179,46 @@ type e19Row struct {
 	upgraded  string
 	converged bool
 	maxEpoch  uint32
+}
+
+// e19Writers starts the campaign workload on a booted rack; the run
+// window starts now.
+func e19Writers(cl *fabric.Cluster) *campaignClient {
+	c := newCampaignClient(cl.Eng, e19Target(cl), e19Timeout, e19Backoff)
+	c.stopAt = cl.Eng.Now().Add(e19Warmup + e19Window + e19Tail)
+	keys := e19Keys()
+	for w := 0; w < e19Workers; w++ {
+		c.writer(keys[w*e19KeysPer : (w+1)*e19KeysPer])
+	}
+	return c
+}
+
+// e19Judge sweeps the keys, checks the history and fills in the
+// client's share of the row. Goodput is counted in e19Bucket-wide
+// buckets of acks from start; the floor and peak skip the ramp-up
+// bucket.
+func e19Judge(c *campaignClient, start sim.Time, row *e19Row) {
+	row.unroutable = c.sweep()
+	row.lin = linearize.Check(c.hist)
+	row.puts, row.acked, row.tmouts, row.errs, row.lat = c.puts, c.acked(), c.tmouts, c.errs, c.putLat
+	buckets := make([]uint64, int((e19Warmup+e19Window+e19Tail)/e19Bucket))
+	for _, op := range c.hist.Ops() {
+		if op.Kind != linearize.Put || op.Outcome != linearize.OK {
+			continue
+		}
+		if i := int(op.End.Sub(start) / e19Bucket); i >= 0 && i < len(buckets) {
+			buckets[i]++
+		}
+	}
+	for i := 1; i < len(buckets); i++ {
+		b := buckets[i]
+		if b > row.peak {
+			row.peak = b
+		}
+		if i == 1 || b < row.floor {
+			row.floor = b
+		}
+	}
 }
 
 // e19Campaign runs one cell: boot N machines plus spares, attach the
@@ -307,19 +238,16 @@ func e19Campaign(n int, flavor fabric.Flavor) e19Row {
 		Spec: reconcile.Spec{Size: n, ConfigVersion: 1, MaxUnavailable: e19MaxUnavail},
 	})
 	eng := cl.Eng
-	d := &e19Driver{cl: cl, led: fabric.NewLedger(), lat: metrics.NewHistogram()}
-	d.start = eng.Now()
-	d.stopAt = d.start.Add(e19Warmup + e19Window + e19Tail)
-	d.buckets = make([]uint64, int((e19Warmup+e19Window+e19Tail)/e19Bucket))
+	start := eng.Now()
 
 	kills := 0
-	eng.At(d.start.Add(e19KillAt), func() {
+	eng.At(start.Add(e19KillAt), func() {
 		if v := e19SingleVictim(cl); v != 0 {
 			fl.Kill(v)
 			kills++
 		}
 	})
-	eng.At(d.start.Add(e19UpgradeAt), func() {
+	eng.At(start.Add(e19UpgradeAt), func() {
 		fl.SetSpec(reconcile.Spec{Size: n, ConfigVersion: 2, MaxUnavailable: e19MaxUnavail})
 	})
 	// The double kill lands at the first quiescent instant at or after
@@ -340,41 +268,20 @@ func e19Campaign(n int, flavor fabric.Flavor) e19Row {
 		fl.Kill(b)
 		kills += 2
 	}
-	eng.At(d.start.Add(e19DoubleAt), tryDouble)
+	eng.At(start.Add(e19DoubleAt), tryDouble)
 
-	for w := 0; w < e19Workers; w++ {
-		d.worker(w)
-	}
-	deadline := eng.Now().Add(30 * sim.Second)
-	for d.done != e19Workers && eng.Now() < deadline {
-		eng.RunFor(sim.Millisecond)
-	}
-	if d.done != e19Workers {
-		panic("exp: e19 workload did not drain")
-	}
-	convergeBy := d.start.Add(e19ConvergeBudget)
+	c := e19Writers(cl)
+	c.wait(e19Workers)
+	convergeBy := start.Add(e19ConvergeBudget)
 	for !fl.Converged() && eng.Now() < convergeBy {
 		eng.RunFor(sim.Millisecond)
 	}
 	eng.RunFor(2 * sim.Millisecond) // let the probe close the final windows
-	d.readback()
 
-	row := e19Row{
-		n: n, flavor: flavor, kills: kills,
-		rep: d.led.Report(), fleet: fl.Report(),
-		puts: d.puts, tmouts: d.tmouts, errs: d.errs,
-		lat: d.lat, converged: fl.Converged(), maxEpoch: cl.MaxEpoch(),
-	}
-	// Goodput floor/peak over full buckets past the ramp-up bucket.
-	for i := 1; i < len(d.buckets); i++ {
-		b := d.buckets[i]
-		if b > row.peak {
-			row.peak = b
-		}
-		if i == 1 || b < row.floor {
-			row.floor = b
-		}
-	}
+	row := e19Row{n: n, flavor: flavor}
+	e19Judge(c, start, &row)
+	row.kills, row.fleet = kills, fl.Report()
+	row.converged, row.maxEpoch = fl.Converged(), cl.MaxEpoch()
 	live := cl.LiveIDs()
 	up := 0
 	for _, id := range live {
@@ -400,35 +307,11 @@ func e19Baseline(n int, flavor fabric.Flavor) e19Row {
 	if err := cl.Boot(); err != nil {
 		panic(fmt.Sprintf("exp: e19 boot: %v", err))
 	}
-	eng := cl.Eng
-	d := &e19Driver{cl: cl, led: fabric.NewLedger(), lat: metrics.NewHistogram()}
-	d.start = eng.Now()
-	d.stopAt = d.start.Add(e19Warmup + e19Window + e19Tail)
-	d.buckets = make([]uint64, int((e19Warmup+e19Window+e19Tail)/e19Bucket))
-	for w := 0; w < e19Workers; w++ {
-		d.worker(w)
-	}
-	deadline := eng.Now().Add(30 * sim.Second)
-	for d.done != e19Workers && eng.Now() < deadline {
-		eng.RunFor(sim.Millisecond)
-	}
-	if d.done != e19Workers {
-		panic("exp: e19 baseline did not drain")
-	}
-	d.readback()
-	row := e19Row{
-		n: n, flavor: flavor,
-		rep: d.led.Report(), puts: d.puts, tmouts: d.tmouts, errs: d.errs, lat: d.lat,
-	}
-	for i := 1; i < len(d.buckets); i++ {
-		b := d.buckets[i]
-		if b > row.peak {
-			row.peak = b
-		}
-		if i == 1 || b < row.floor {
-			row.floor = b
-		}
-	}
+	start := cl.Eng.Now()
+	c := e19Writers(cl)
+	c.wait(e19Workers)
+	row := e19Row{n: n, flavor: flavor}
+	e19Judge(c, start, &row)
 	return row
 }
 
@@ -450,7 +333,7 @@ func E19SelfHealing() *Result {
 		fmt.Sprintf("campaign per cell: kill at +%v, rolling upgrade v1→v2 from +%v, same-frame double kill from +%v (%d spares, maxUnavailable=%d, %d writers; baseline rows run the same window undisturbed)",
 			e19KillAt, e19UpgradeAt, e19DoubleAt, e19Spares, e19MaxUnavail, e19Workers),
 		"machines", "flavor", "campaign", "kills", "puts", "acked", "timeouts",
-		"lost acked (R1)", "dup applies (R2)", "unroutable (R3)",
+		"L1 history", "unroutable (R3)",
 		"goodput floor", "p50 put", "p99 put")
 	conv := metrics.NewTable(
 		fmt.Sprintf("convergence and reconcile activity (C1 bound %v; C3 audited every %v)",
@@ -461,13 +344,13 @@ func E19SelfHealing() *Result {
 	for _, n := range sizes {
 		for _, flavor := range flavors {
 			base := e19Baseline(n, flavor)
-			disrupt.AddRow(n, flavor.String(), "baseline", 0, base.puts, base.rep.Acks,
-				base.tmouts, base.rep.G1Lost, base.rep.G2Dups, len(base.rep.Unroutable),
+			disrupt.AddRow(n, flavor.String(), "baseline", 0, base.puts, base.acked,
+				base.tmouts, l1Verdict(base.lin), len(base.unroutable),
 				e19Floor(base), base.lat.P50(), base.lat.P99())
 
 			row := e19Campaign(n, flavor)
-			disrupt.AddRow(n, flavor.String(), "chaos+upgrade", row.kills, row.puts, row.rep.Acks,
-				row.tmouts, row.rep.G1Lost, row.rep.G2Dups, len(row.rep.Unroutable),
+			disrupt.AddRow(n, flavor.String(), "chaos+upgrade", row.kills, row.puts, row.acked,
+				row.tmouts, l1Verdict(row.lin), len(row.unroutable),
 				e19Floor(row), row.lat.P50(), row.lat.P99())
 
 			st := row.fleet.Stats
@@ -481,7 +364,7 @@ func E19SelfHealing() *Result {
 
 	res.Notes = append(res.Notes,
 		"the reconciler is pure policy over the fabric's mechanisms: level-triggered agents re-derive (spec, observed conditions) → action every tick, so lost frames and dead coordinators cost a retry, never correctness",
-		"every ring change is one staged two-phase transition (prepare/transfer/commit) riding the consistent-hash ring's minimal-movement property; writes replicate to the UNION of current and staged owners, which is why no campaign loses an acked write (C2 via R1/R2)",
+		"every ring change is one staged two-phase transition (prepare/transfer/commit) riding the consistent-hash ring's minimal-movement property; writes replicate to the UNION of current and staged owners, which is why no campaign loses an acked write (C2, judged by L1 over the client history)",
 		"the double kill fires in ONE event frame — zero virtual time between deaths — at a quiescent instant, with victims chosen to not be a replica pair: the honest boundary of a replication-factor-2 fabric (killing both copies of a key legitimately loses it, same rule as E17)",
 		"C3 (disruption budget): voluntary actions — cordons and shrink-for-upgrade — may never push serving capacity below size − maxUnavailable − involuntary losses; the audit samples every probe tick, including mid-transition instants",
 		"under the head-node flavor the head cannot rotate itself out of the ring to flash: it IS the control plane, so it finishes every campaign pinned on config v1 (the 'upgraded' column stays one short) — decentralized actors hand the reconciler role to the next machine and upgrade themselves last",

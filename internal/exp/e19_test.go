@@ -9,9 +9,9 @@ import (
 
 // TestE19CampaignClean is the reconcile tier's hard gate: the full
 // campaign — kill, rolling upgrade, same-frame double kill — must
-// uphold C1 (convergence within bound), C2 (no acked write lost, via
-// fabric R1/R2), C3 (disruption budget) and R3 (all keys routable) on
-// both control architectures. Runs under -race via `make reconcile`.
+// uphold C1 (convergence within bound), C2 (no acked write lost: the
+// client history is linearizable), C3 (disruption budget) and R3 (all
+// keys routable) on both control architectures. Runs under -race via `make reconcile`.
 func TestE19CampaignClean(t *testing.T) {
 	for _, flavor := range []fabric.Flavor{fabric.FlavorDecentralized, fabric.FlavorHead} {
 		flavor := flavor
@@ -29,16 +29,16 @@ func TestE19CampaignClean(t *testing.T) {
 					row.fleet.C1Violations, row.fleet.C3Violations,
 					row.fleet.OpenWindows, row.fleet.WorstShortfall)
 			}
-			if row.rep.G1Lost != 0 {
-				t.Errorf("R1 violated: %d acked writes lost: %v", row.rep.G1Lost, row.rep.Violations)
+			if !row.lin.OK {
+				t.Errorf("C2 violated: history for key %q not linearizable", row.lin.BadKey)
 			}
-			if row.rep.G2Dups != 0 {
-				t.Errorf("R2 violated: %d duplicate applies: %v", row.rep.G2Dups, row.rep.Violations)
+			if len(row.lin.Aborted) != 0 {
+				t.Errorf("L1 checker aborted on keys %v — verdict unknown", row.lin.Aborted)
 			}
-			if len(row.rep.Unroutable) != 0 {
-				t.Errorf("R3 violated: unroutable keys: %v", row.rep.Unroutable)
+			if len(row.unroutable) != 0 {
+				t.Errorf("R3 violated: unroutable keys: %v", row.unroutable)
 			}
-			if row.rep.Acks == 0 {
+			if row.acked == 0 {
 				t.Error("campaign acked nothing")
 			}
 			if row.fleet.Stats.Repairs == 0 {
@@ -66,7 +66,7 @@ func TestE19Reproducible(t *testing.T) {
 	runCell := func() string {
 		row := e19Campaign(8, fabric.FlavorDecentralized)
 		return fmt.Sprintf("%d %d %d %d %d %v %v %v %d %d %+v",
-			row.puts, row.rep.Acks, row.tmouts, row.errs, row.kills,
+			row.puts, row.acked, row.tmouts, row.errs, row.kills,
 			row.fleet.MaxWindow(), row.lat.P50(), row.lat.P99(),
 			row.floor, row.peak, row.fleet.Stats)
 	}
@@ -81,9 +81,9 @@ func TestE19Reproducible(t *testing.T) {
 // goodput profile.
 func TestE19BaselineUndisturbed(t *testing.T) {
 	row := e19Baseline(8, fabric.FlavorDecentralized)
-	if row.tmouts != 0 || row.rep.G1Lost != 0 || len(row.rep.Unroutable) != 0 {
-		t.Errorf("undisturbed baseline saw disruption: timeouts=%d lost=%d unroutable=%d",
-			row.tmouts, row.rep.G1Lost, len(row.rep.Unroutable))
+	if row.tmouts != 0 || !row.lin.OK || len(row.lin.Aborted) != 0 || len(row.unroutable) != 0 {
+		t.Errorf("undisturbed baseline saw disruption: timeouts=%d L1=%s unroutable=%d",
+			row.tmouts, l1Verdict(row.lin), len(row.unroutable))
 	}
 	if row.peak == 0 || row.floor*100/row.peak < 50 {
 		t.Errorf("baseline goodput not flat: floor %d of peak %d", row.floor, row.peak)

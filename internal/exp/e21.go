@@ -1,12 +1,10 @@
 package exp
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"nocpu/internal/fabric"
 	"nocpu/internal/faultinject"
-	"nocpu/internal/kvs"
 	"nocpu/internal/linearize"
 	"nocpu/internal/metrics"
 	"nocpu/internal/msg"
@@ -27,8 +25,9 @@ import (
 //	split — a probe samples every key at 250µs: at most ONE machine may
 //	        simultaneously hold a valid lease, claim the key, and be
 //	        past its takeover fence
-//	R1/R3 — no acked write lost; every key routable once the schedule
-//	        ends (the fabric ledger, as in E17/E19)
+//	R3    — every key routable once the schedule ends (the read-back
+//	        sweep, as in E17/E19; its reads join the history, so L1
+//	        also finds an acked write lost)
 //
 // plus the worst no-server window (how long a key had NO machine able
 // to serve it — the availability price of lease expiry, which safety
@@ -95,25 +94,11 @@ func e21Cells() []e21Cell {
 }
 
 // e21Driver runs the recorded workload: each worker alternates puts
-// and gets over the shared key pool, maps every fabric response onto
-// the checker's outcome vocabulary, and leaves timed-out operations
-// Pending (they may have executed — the checker carries them as
-// ambiguous writes).
+// and gets over the shared key pool through the campaign client, while
+// a probe samples every key for split brain.
 type e21Driver struct {
-	cl   *fabric.Cluster
-	led  *fabric.Ledger
-	hist *linearize.History
-
-	start   sim.Time
-	stopAt  sim.Time
-	nextVal uint64
-	rr      int
-	done    int
-
-	puts, gets uint64
-	fenced     uint64 // typed refusals observed by clients
-	tmouts     uint64
-	maybes     uint64 // ambiguous failures (error/unavailable/garbled)
+	cl *fabric.Cluster
+	c  *campaignClient
 
 	// Split-brain probe state.
 	keys      []string
@@ -122,111 +107,24 @@ type e21Driver struct {
 	worstZero int // longest consecutive no-server run, in samples
 }
 
-func (d *e21Driver) ingress() msg.DeviceID {
-	ids := d.cl.ServingIDs()
-	if len(ids) == 0 {
-		ids = d.cl.LiveIDs()
-	}
-	d.rr++
-	return ids[d.rr%len(ids)]
-}
-
-// classify maps a fabric response onto the linearize outcome
-// vocabulary. Typed refusals (shed, fenced, denied) contractually did
-// not execute; anything ambiguous may have.
-func (d *e21Driver) classify(resp kvs.Response, err error, isGet bool) (linearize.Outcome, uint64) {
-	if err != nil {
-		d.maybes++
-		return linearize.Maybe, 0
-	}
-	switch resp.Status {
-	case kvs.StatusOK:
-		if isGet {
-			if len(resp.Value) != 8 {
-				d.maybes++
-				return linearize.Maybe, 0
-			}
-			return linearize.OK, binary.LittleEndian.Uint64(resp.Value)
-		}
-		return linearize.OK, 0
-	case kvs.StatusNotFound:
-		return linearize.NotFound, 0
-	case kvs.StatusShed, kvs.StatusDenied, kvs.StatusFenced:
-		d.fenced++
-		return linearize.Fail, 0
-	default: // StatusError, StatusUnavailable
-		d.maybes++
-		return linearize.Maybe, 0
-	}
-}
-
 func (d *e21Driver) worker(w int) {
-	eng := d.cl.Eng
 	keyIdx := w * 2 // offset the workers so collisions interleave
 	doPut := w%2 == 0
 	var issue func()
 	issue = func() {
-		if eng.Now() >= d.stopAt {
-			d.done++
+		if d.cl.Eng.Now() >= d.c.stopAt {
+			d.c.done++
 			return
 		}
 		key := d.keys[keyIdx%len(d.keys)]
 		keyIdx++
-		isGet := !doPut
-		doPut = !doPut
-
-		var req []byte
-		var hid int
-		if isGet {
-			d.gets++
-			hid = d.hist.Invoke(linearize.Get, key, 0, eng.Now())
-			req = kvs.EncodeRequest(kvs.Request{Op: kvs.OpGet, Key: key})
-		} else {
-			d.nextVal++
-			val := d.nextVal
-			d.puts++
-			d.led.NoteAttempt(key, val)
-			hid = d.hist.Invoke(linearize.Put, key, val, eng.Now())
-			req = kvs.EncodeRequest(kvs.Request{Op: kvs.OpPut, Key: key, Value: e15Value(val)})
+		kind, val := linearize.Get, uint64(0)
+		if doPut {
+			d.c.nextVal++
+			kind, val = linearize.Put, d.c.nextVal
 		}
-
-		val := d.nextVal
-		resolved, returned := false, false
-		var tm *sim.Timer
-		d.cl.Ingress(d.ingress())(req, func(b []byte) {
-			resp, err := kvs.DecodeResponse(b)
-			// The history records the FIRST response even if it arrives
-			// after the client-side timeout fired: the client still
-			// observed it, so the checker must account for it.
-			if !returned {
-				returned = true
-				out, ret := d.classify(resp, err, isGet)
-				d.hist.Return(hid, out, ret, eng.Now())
-				if !isGet && out == linearize.OK {
-					d.led.NoteAck(key, val)
-				}
-			}
-			if resolved {
-				return
-			}
-			resolved = true
-			if tm != nil {
-				tm.Stop()
-			}
-			if err == nil && (resp.Status == kvs.StatusOK || resp.Status == kvs.StatusNotFound) {
-				issue()
-				return
-			}
-			eng.After(e21Backoff, issue)
-		})
-		tm = eng.After(e21Timeout, func() {
-			if resolved {
-				return
-			}
-			resolved = true
-			d.tmouts++ // stays Pending in the history: an ambiguous write
-			issue()
-		})
+		doPut = !doPut
+		d.c.op(kind, key, val, issue)
 	}
 	issue()
 }
@@ -264,47 +162,12 @@ func (d *e21Driver) sample() {
 
 func (d *e21Driver) armProbe() {
 	d.cl.Eng.After(e21Probe, func() {
-		if d.cl.Eng.Now() >= d.stopAt {
+		if d.cl.Eng.Now() >= d.c.stopAt {
 			return
 		}
 		d.sample()
 		d.armProbe()
 	})
-}
-
-// readback is the R3 sweep after the schedule ends (e19's, verbatim
-// semantics: a key with no definitive answer is unroutable).
-func (d *e21Driver) readback() {
-	eng := d.cl.Eng
-	for _, key := range d.led.Keys() {
-		settled := false
-		for attempt := 0; attempt < 40 && !settled; attempt++ {
-			var resp kvs.Response
-			got := false
-			req := kvs.EncodeRequest(kvs.Request{Op: kvs.OpGet, Key: key})
-			d.cl.Ingress(d.ingress())(req, func(b []byte) {
-				if r, err := kvs.DecodeResponse(b); err == nil {
-					resp, got = r, true
-				}
-			})
-			lim := eng.Now().Add(20 * sim.Millisecond)
-			for !got && eng.Now() < lim {
-				eng.RunFor(100 * sim.Microsecond)
-			}
-			if got && resp.Status == kvs.StatusOK && len(resp.Value) == 8 {
-				d.led.NoteRead(key, binary.LittleEndian.Uint64(resp.Value), true)
-				settled = true
-			} else if got && resp.Status == kvs.StatusNotFound {
-				d.led.NoteRead(key, 0, false)
-				settled = true
-			} else {
-				eng.RunFor(500 * sim.Microsecond)
-			}
-		}
-		if !settled {
-			d.led.NoteUnroutable(key)
-		}
-	}
 }
 
 // e21Row is one cell's outcome.
@@ -318,18 +181,18 @@ type e21Row struct {
 	tmouts     uint64
 	maybes     uint64
 
-	lin       linearize.Result
-	splits    int
-	worstZero sim.Duration
-	rep       fabric.Report
-	st        fabric.RouterStats
-	maxEpoch  uint32
-	leasedEnd int
+	lin        linearize.Result
+	splits     int
+	worstZero  sim.Duration
+	unroutable []string
+	st         fabric.RouterStats
+	maxEpoch   uint32
+	leasedEnd  int
 }
 
 // e21Run executes one cell: N=8 with epoch leases on, the schedule
-// applied mid-workload, the probe sampling throughout, the readback
-// after.
+// applied mid-workload, the probe sampling throughout, the read-back
+// sweep after.
 func e21Run(flavor fabric.Flavor, idx int, cell e21Cell) e21Row {
 	seed := uint64(0xE21)<<8 | uint64(idx)
 	if flavor == fabric.FlavorHead {
@@ -345,28 +208,22 @@ func e21Run(flavor fabric.Flavor, idx int, cell e21Cell) e21Row {
 	}
 	eng := cl.Eng
 
-	d := &e21Driver{cl: cl, led: fabric.NewLedger(), hist: linearize.NewHistory()}
-	d.start = eng.Now()
-	d.stopAt = d.start.Add(e21Window)
+	c := newCampaignClient(eng, e19Target(cl), e21Timeout, e21Backoff)
+	c.stopAt = eng.Now().Add(e21Window)
+	d := &e21Driver{cl: cl, c: c}
 	for i := 0; i < e21Keys; i++ {
 		d.keys = append(d.keys, e21Key(i))
 	}
-	cell.apply(plane, d.start)
+	cell.apply(plane, eng.Now())
 	d.armProbe()
 	for w := 0; w < e21Workers; w++ {
 		d.worker(w)
 	}
-	deadline := eng.Now().Add(30 * sim.Second)
-	for d.done != e21Workers && eng.Now() < deadline {
-		eng.RunFor(sim.Millisecond)
-	}
-	if d.done != e21Workers {
-		panic("exp: e21 workload did not drain")
-	}
+	c.wait(e21Workers)
 	// Let in-flight frames, fences, and the last lease rounds settle
 	// before judging routability.
 	eng.RunFor(fabric.DefaultLeaseDuration + fabric.DefaultFailTimeout + 2*sim.Millisecond)
-	d.readback()
+	unroutable := c.sweep()
 
 	leased := 0
 	for _, m := range cl.Machines {
@@ -376,23 +233,13 @@ func e21Run(flavor fabric.Flavor, idx int, cell e21Cell) e21Row {
 	}
 	return e21Row{
 		cell: cell.name, flavor: flavor,
-		puts: d.puts, gets: d.gets, acked: d.led.Report().Acks,
-		fenced: d.fenced, tmouts: d.tmouts, maybes: d.maybes,
-		lin: linearize.Check(d.hist), splits: d.splits,
-		worstZero: sim.Duration(d.worstZero) * e21Probe,
-		rep:       d.led.Report(), st: cl.RouterStatsSum(), maxEpoch: cl.MaxEpoch(),
+		puts: c.puts, gets: c.gets, acked: c.acked(),
+		fenced: c.fenced, tmouts: c.tmouts, maybes: c.maybes,
+		lin: linearize.Check(c.hist), splits: d.splits,
+		worstZero:  sim.Duration(d.worstZero) * e21Probe,
+		unroutable: unroutable, st: cl.RouterStatsSum(), maxEpoch: cl.MaxEpoch(),
 		leasedEnd: leased,
 	}
-}
-
-func e21L1(r e21Row) string {
-	if len(r.lin.Aborted) > 0 {
-		return "UNKNOWN"
-	}
-	if r.lin.OK {
-		return "clean"
-	}
-	return "FAIL:" + r.lin.BadKey
 }
 
 // E21SplitBrain runs the split-brain safety tables.
@@ -404,7 +251,7 @@ func E21SplitBrain() *Result {
 			e21N, fabric.DefaultLeaseDuration, fabric.DefaultLeaseRenewEvery, fabric.DefaultFailTimeout,
 			e21FaultAt, e21HealAt, e21Workers, e21Keys, e21Probe),
 		"schedule", "flavor", "puts", "gets", "acked", "fenced", "timeouts", "ambiguous",
-		"L1 history", "L1 ops", "split samples", "worst no-server", "lost acked (R1)", "unroutable (R3)")
+		"L1 history", "L1 ops", "split samples", "worst no-server", "unroutable (R3)")
 	detect := metrics.NewTable(
 		"failure-detector and lease traffic per cell (suspicions are transport-level, directional; deaths only from inbound silence)",
 		"schedule", "flavor", "suspicions", "silence deaths", "view changes",
@@ -415,8 +262,8 @@ func E21SplitBrain() *Result {
 			row := e21Run(flavor, idx, cell)
 			safety.AddRow(row.cell, row.flavor.String(), row.puts, row.gets, row.acked,
 				row.fenced, row.tmouts, row.maybes,
-				e21L1(row), fmt.Sprintf("%d+%d?", row.lin.Required, row.lin.Optional),
-				row.splits, row.worstZero, row.rep.G1Lost, len(row.rep.Unroutable))
+				l1Verdict(row.lin), fmt.Sprintf("%d+%d?", row.lin.Required, row.lin.Optional),
+				row.splits, row.worstZero, len(row.unroutable))
 			detect.AddRow(row.cell, row.flavor.String(), row.st.Suspicions, row.st.SilenceDeaths,
 				row.st.ViewChanges, row.st.LeaseRenews, row.st.LeaseGrants, row.st.LeaseRevokes,
 				row.st.LeaseFenced, row.st.LeaseLapses, row.maxEpoch, row.leasedEnd)

@@ -175,12 +175,15 @@ func (r *kvsRig) target() netsim.Target {
 
 // drain advances virtual time until *done (or panics after a very long
 // virtual interval — an experiment bug).
-func (r *kvsRig) drain(done *bool) {
-	deadline := r.sys.Eng.Now().Add(30 * sim.Second)
-	for !*done && r.sys.Eng.Now() < deadline {
-		r.sys.Eng.RunFor(sim.Millisecond)
+func (r *kvsRig) drain(done *bool) { runUntil(r.sys.Eng, func() bool { return *done }) }
+
+// runUntil advances eng a millisecond at a time until done reports true.
+func runUntil(eng *sim.Engine, done func() bool) {
+	deadline := eng.Now().Add(30 * sim.Second)
+	for !done() && eng.Now() < deadline {
+		eng.RunFor(sim.Millisecond)
 	}
-	if !*done {
+	if !done() {
 		panic("exp: scenario did not complete within 30s of virtual time")
 	}
 }

@@ -3,26 +3,28 @@ package fabric
 import (
 	"encoding/binary"
 	"fmt"
+	"sort"
 	"testing"
 
 	"nocpu/internal/kvs"
+	"nocpu/internal/linearize"
 	"nocpu/internal/msg"
 	"nocpu/internal/sim"
 )
 
 // Fabric chaos regression tests (E15-style): a per-op-timeout write
 // workload hammers the cluster while whole machines are killed at
-// scripted instants, then a read-back sweep feeds the fabric Ledger,
-// which judges R1 (no acked write lost), R2 (no duplicate apply) and
-// R3 (every touched key routable after recovery).
+// scripted instants, then a read-back sweep completes the client
+// history. The history must be linearizable (L1: no acked write lost,
+// no duplicate apply) and every touched key routable after recovery
+// (R3). These tests keep their own small driver: the shared campaign
+// client lives in internal/exp, which imports this package.
 //
-// Timeout soundness: a worker reuses a key only after the previous
-// write to it resolved (ack, error, or client timeout). The client
-// timeout (25ms) exceeds the worst in-system lifetime of a write —
-// ingress forwarding gives up after DefaultOpTimeout (10ms), and an already-
-// forwarded request is applied within microseconds of arrival or
-// dropped forever (dead machine / dead-set fencing) — so per-key apply
-// order equals issue order and the ledger's value ordering is sound.
+// The client timeout (25ms) exceeds the worst in-system lifetime of a
+// write — ingress forwarding gives up after DefaultOpTimeout (10ms),
+// and an already-forwarded request is applied within microseconds of
+// arrival or dropped forever (dead machine / dead-set fencing) — so a
+// timeout means the write died with a machine.
 const (
 	fcWorkers    = 4
 	fcKeysPer    = 4
@@ -41,29 +43,34 @@ const (
 
 // fcDriver drives one chaos campaign against a booted cluster.
 type fcDriver struct {
-	t   *testing.T
-	cl  *Cluster
-	led *Ledger
+	t    *testing.T
+	cl   *Cluster
+	hist *linearize.History
 
 	keys   []string // worker w owns keys[w*fcKeysPer : (w+1)*fcKeysPer]
 	stopAt sim.Time
 
 	nextVal uint64
 	rr      int // round-robin ingress cursor
-	puts    uint64
-	tmouts  uint64
-	errs    uint64
 	done    int
 
 	pending   []sim.Time
 	recovered []sim.Duration
 }
 
+// fcResult is one campaign's verdict.
+type fcResult struct {
+	lin        linearize.Result
+	acked      int
+	unroutable []string
+	recovered  []sim.Duration
+}
+
 func newFCDriver(t *testing.T, cl *Cluster, keys []string) *fcDriver {
 	if len(keys) != fcWorkers*fcKeysPer {
 		t.Fatalf("driver wants %d keys, got %d", fcWorkers*fcKeysPer, len(keys))
 	}
-	return &fcDriver{t: t, cl: cl, led: NewLedger(), keys: keys}
+	return &fcDriver{t: t, cl: cl, hist: linearize.NewHistory(), keys: keys}
 }
 
 // ingress picks the next live machine round-robin (deterministic:
@@ -88,14 +95,43 @@ func (d *fcDriver) kill(at sim.Time, id msg.DeviceID) {
 
 // noteProgress closes every open recovery window: service is restored.
 func (d *fcDriver) noteProgress() {
-	if len(d.pending) == 0 {
-		return
-	}
 	now := d.cl.Eng.Now()
 	for _, at := range d.pending {
 		d.recovered = append(d.recovered, now.Sub(at))
 	}
 	d.pending = d.pending[:0]
+}
+
+// call sends one put or get and records it in the history; reply sees
+// the outcome of the first response only.
+func (d *fcDriver) call(kind linearize.OpKind, key string, val uint64, reply func(linearize.Outcome)) {
+	req := kvs.Request{Op: kvs.OpGet, Key: key}
+	if kind == linearize.Put {
+		req = kvs.Request{Op: kvs.OpPut, Key: key, Value: val64(val)}
+	}
+	id := d.hist.Invoke(kind, key, val, d.cl.Eng.Now())
+	returned := false
+	d.cl.Ingress(d.ingress())(kvs.EncodeRequest(req), func(b []byte) {
+		if returned {
+			return
+		}
+		returned = true
+		out, ret := linearize.Maybe, uint64(0)
+		if resp, err := kvs.DecodeResponse(b); err == nil {
+			switch {
+			case resp.Status == kvs.StatusOK && kind == linearize.Get && len(resp.Value) == 8:
+				out, ret = linearize.OK, binary.LittleEndian.Uint64(resp.Value)
+			case resp.Status == kvs.StatusOK && kind == linearize.Get:
+				out, ret = linearize.OK, ^uint64(0) // corrupt: a value no put wrote
+			case resp.Status == kvs.StatusOK:
+				out = linearize.OK
+			case resp.Status == kvs.StatusNotFound:
+				out = linearize.NotFound
+			}
+		}
+		d.hist.Return(id, out, ret, d.cl.Eng.Now())
+		reply(out)
+	})
 }
 
 // worker runs a closed loop over its own key partition.
@@ -111,19 +147,12 @@ func (d *fcDriver) worker(w int) {
 		key := d.keys[w*fcKeysPer+keyIdx]
 		keyIdx = (keyIdx + 1) % fcKeysPer
 		d.nextVal++
-		val := d.nextVal
-		d.led.NoteAttempt(key, val)
-		d.puts++
 		resolved := false
 		var tm *sim.Timer
-		req := kvs.EncodeRequest(kvs.Request{Op: kvs.OpPut, Key: key, Value: val64(val)})
-		d.cl.Ingress(d.ingress())(req, func(b []byte) {
-			resp, err := kvs.DecodeResponse(b)
-			ok := err == nil && resp.Status == kvs.StatusOK
-			if ok {
-				// Ack counts even past the client timeout: the fabric told
-				// the client the write succeeded, so R1 must cover it.
-				d.led.NoteAck(key, val)
+		d.call(linearize.Put, key, d.nextVal, func(out linearize.Outcome) {
+			if out == linearize.OK {
+				// Ack counts even past the client timeout: the fabric
+				// told the client the write succeeded.
 				d.noteProgress()
 			}
 			if resolved {
@@ -133,8 +162,7 @@ func (d *fcDriver) worker(w int) {
 			if tm != nil {
 				tm.Stop()
 			}
-			if !ok {
-				d.errs++
+			if out != linearize.OK {
 				eng.After(fcErrBackoff, issue)
 				return
 			}
@@ -145,7 +173,6 @@ func (d *fcDriver) worker(w int) {
 				return
 			}
 			resolved = true
-			d.tmouts++
 			issue()
 		})
 	}
@@ -153,7 +180,7 @@ func (d *fcDriver) worker(w int) {
 }
 
 // run executes the campaign: workload, scripted kills, settle, sweep.
-func (d *fcDriver) run() Report {
+func (d *fcDriver) run() fcResult {
 	eng := d.cl.Eng
 	d.stopAt = eng.Now().Add(fcWarmup + fcWindow + fcTail)
 	for w := 0; w < fcWorkers; w++ {
@@ -167,47 +194,45 @@ func (d *fcDriver) run() Report {
 		d.t.Fatal("workload did not drain (an op neither acked nor timed out)")
 	}
 	eng.RunFor(fcSettle) // let resyncs and view gossip finish
-	d.readback()
-
-	rep := d.led.Report()
-	rep.Recoveries = d.recovered
-	return rep
+	res := fcResult{unroutable: d.readback(), recovered: d.recovered}
+	res.lin = linearize.Check(d.hist)
+	for _, op := range d.hist.Ops() {
+		if op.Kind == linearize.Put && op.Outcome == linearize.OK {
+			res.acked++
+		}
+	}
+	return res
 }
 
 // readback sweeps every touched key through a live ingress, retrying
-// transient unavailability; a key with no definitive answer after the
-// retry budget is unroutable (R3 violation).
-func (d *fcDriver) readback() {
+// transient unavailability, and returns the keys with no definitive
+// answer after the retry budget: unroutable (R3 violation).
+func (d *fcDriver) readback() []string {
 	eng := d.cl.Eng
-	for _, key := range d.led.Keys() {
+	keys := append([]string(nil), d.keys...)
+	sort.Strings(keys)
+	var unroutable []string
+	for _, key := range keys {
 		settled := false
 		for attempt := 0; attempt < 40 && !settled; attempt++ {
-			var resp kvs.Response
+			var out linearize.Outcome
 			got := false
-			req := kvs.EncodeRequest(kvs.Request{Op: kvs.OpGet, Key: key})
-			d.cl.Ingress(d.ingress())(req, func(b []byte) {
-				if r, err := kvs.DecodeResponse(b); err == nil {
-					resp, got = r, true
-				}
-			})
+			d.call(linearize.Get, key, 0, func(o linearize.Outcome) { out, got = o, true })
 			lim := eng.Now().Add(20 * sim.Millisecond)
 			for !got && eng.Now() < lim {
 				eng.RunFor(100 * sim.Microsecond)
 			}
-			if got && resp.Status == kvs.StatusOK && len(resp.Value) == 8 {
-				d.led.NoteRead(key, binary.LittleEndian.Uint64(resp.Value), true)
-				settled = true
-			} else if got && resp.Status == kvs.StatusNotFound {
-				d.led.NoteRead(key, 0, false)
+			if out == linearize.OK || out == linearize.NotFound {
 				settled = true
 			} else {
 				eng.RunFor(500 * sim.Microsecond) // mid-failover; ask again
 			}
 		}
 		if !settled {
-			d.led.NoteUnroutable(key)
+			unroutable = append(unroutable, key)
 		}
 	}
+	return unroutable
 }
 
 // keysOwnedBy collects n keys whose owner at the given replica slot is
@@ -236,24 +261,27 @@ func mixedKeys(n int) []string {
 	return out
 }
 
-func assertClean(t *testing.T, cl *Cluster, rep Report, kills int) {
+func assertClean(t *testing.T, cl *Cluster, res fcResult, kills int) {
 	t.Helper()
-	if rep.G1Lost != 0 {
-		t.Errorf("R1 violated: %d acked writes lost: %v", rep.G1Lost, rep.Violations)
+	if !res.lin.OK {
+		t.Errorf("L1 violated: history for key %q not linearizable", res.lin.BadKey)
 	}
-	if rep.G2Dups != 0 {
-		t.Errorf("R2 violated: %d duplicate/corrupt applies: %v", rep.G2Dups, rep.Violations)
+	if len(res.lin.Aborted) != 0 {
+		t.Errorf("L1 checker aborted on keys %v — verdict unknown", res.lin.Aborted)
 	}
-	if len(rep.Unroutable) != 0 {
-		t.Errorf("R3 violated: unroutable keys after recovery: %v", rep.Unroutable)
+	if len(res.unroutable) != 0 {
+		t.Errorf("R3 violated: unroutable keys after recovery: %v", res.unroutable)
 	}
-	if !rep.CleanFabric(fcRecoveryBound) {
-		t.Errorf("recovery exceeded %v: windows %v", fcRecoveryBound, rep.Recoveries)
+	for _, w := range res.recovered {
+		if w > fcRecoveryBound {
+			t.Errorf("recovery exceeded %v: windows %v", fcRecoveryBound, res.recovered)
+			break
+		}
 	}
-	if len(rep.Recoveries) < kills {
-		t.Errorf("only %d/%d kills saw service restored", len(rep.Recoveries), kills)
+	if len(res.recovered) < kills {
+		t.Errorf("only %d/%d kills saw service restored", len(res.recovered), kills)
 	}
-	if rep.Acks == 0 {
+	if res.acked == 0 {
 		t.Error("campaign acked nothing; the workload never ran")
 	}
 	st := cl.RouterStatsSum()
@@ -270,8 +298,7 @@ func TestChaosKillPrimaryMidWrite(t *testing.T) {
 	victim := msg.DeviceID(2)
 	d := newFCDriver(t, cl, keysOwnedBy(t, cl, victim, 0, fcWorkers*fcKeysPer))
 	d.kill(cl.Eng.Now().Add(fcWarmup+fcWindow/2), victim)
-	rep := d.run()
-	assertClean(t, cl, rep, 1)
+	assertClean(t, cl, d.run(), 1)
 	if st := cl.RouterStatsSum(); st.Resyncs == 0 {
 		t.Error("primary died but no surviving machine resynced its shard")
 	}
@@ -286,8 +313,7 @@ func TestChaosKillBackupMidReplication(t *testing.T) {
 	victim := msg.DeviceID(3)
 	d := newFCDriver(t, cl, keysOwnedBy(t, cl, victim, 1, fcWorkers*fcKeysPer))
 	d.kill(cl.Eng.Now().Add(fcWarmup+fcWindow/2), victim)
-	rep := d.run()
-	assertClean(t, cl, rep, 1)
+	assertClean(t, cl, d.run(), 1)
 }
 
 // TestChaosSequentialDoubleFailure kills two machines 10ms apart —
@@ -300,8 +326,7 @@ func TestChaosSequentialDoubleFailure(t *testing.T) {
 	first := cl.Eng.Now().Add(fcWarmup + 5*sim.Millisecond)
 	d.kill(first, 2)
 	d.kill(first.Add(10*sim.Millisecond), 3)
-	rep := d.run()
-	assertClean(t, cl, rep, 2)
+	assertClean(t, cl, d.run(), 2)
 	if got := cl.MaxEpoch(); got != 2 {
 		t.Errorf("max epoch %d after two deaths, want 2", got)
 	}
@@ -355,8 +380,7 @@ func TestChaosConcurrentDoubleFailure(t *testing.T) {
 			at := cl.Eng.Now().Add(fcWarmup + fcWindow/2)
 			d.kill(at, tc.victims[0])
 			d.kill(at, tc.victims[1])
-			rep := d.run()
-			assertClean(t, cl, rep, 2)
+			assertClean(t, cl, d.run(), 2)
 			if got := cl.MaxEpoch(); got != 2 {
 				t.Errorf("max epoch %d after two same-frame deaths, want 2", got)
 			}
@@ -371,6 +395,5 @@ func TestChaosHeadFlavorKillWorker(t *testing.T) {
 	cl := mustBoot(t, Config{N: 4, Seed: 0xC4, Flavor: FlavorHead})
 	d := newFCDriver(t, cl, mixedKeys(fcWorkers*fcKeysPer))
 	d.kill(cl.Eng.Now().Add(fcWarmup+fcWindow/2), 3)
-	rep := d.run()
-	assertClean(t, cl, rep, 1)
+	assertClean(t, cl, d.run(), 1)
 }

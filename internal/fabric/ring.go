@@ -7,7 +7,10 @@
 // primary/backup replication with fenced failover, so a whole-machine
 // kill loses no acknowledged write.
 //
-// The recovery invariants, audited by the fabric Ledger (E17):
+// The recovery invariants, audited from the client side by the E17
+// campaigns and this package's chaos tests: R1 and R2 by the
+// linearizability check of the client history (internal/linearize),
+// R3 by the read-back sweep:
 //
 //	R1 — no acked write lost: a read after failover never returns a
 //	     value older than the newest acknowledged write for that key.

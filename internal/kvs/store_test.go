@@ -37,7 +37,7 @@ type testbed struct {
 func newTestbed(t *testing.T, watchdog sim.Duration) *testbed {
 	t.Helper()
 	tb := &testbed{eng: sim.NewEngine(), watchdog: watchdog}
-	tr := trace.New(0)
+	tr := trace.New()
 	mem := physmem.MustNew(32 * 1024 * physmem.PageSize)
 	tb.fab = interconnect.NewFabric(tb.eng, mem, interconnect.DefaultCosts)
 	busCfg := bus.DefaultConfig

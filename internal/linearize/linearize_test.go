@@ -89,6 +89,41 @@ func TestNotFoundAfterAckedPutViolates(t *testing.T) {
 	mustViolate(t, h, "k")
 }
 
+// A read of a value no put ever wrote has no sequential explanation:
+// the store invented data, or applied a write nobody issued.
+func TestNeverWrittenValueViolates(t *testing.T) {
+	h := NewHistory()
+	id := h.Invoke(Put, "k", 1, at(0))
+	h.Return(id, Maybe, 0, at(10))
+	id = h.Invoke(Get, "k", 0, at(20))
+	h.Return(id, OK, 7, at(30))
+	mustViolate(t, h, "k")
+}
+
+// A key whose only put never got an answer (lost in a crash before the
+// ack) may read NotFound afterwards: the write may never have executed.
+func TestUnansweredOnlyPutMayReadNotFound(t *testing.T) {
+	h := NewHistory()
+	h.Invoke(Put, "k", 1, at(0))
+	id := h.Invoke(Get, "k", 0, at(20))
+	h.Return(id, NotFound, 0, at(30))
+	mustOK(t, h)
+}
+
+// A corrupt read-back value — the store answered OK with bytes that
+// are not one of the written words, recorded as ^0, a value no put
+// writes — is a violation even when a write to the key is still
+// ambiguous.
+func TestCorruptReadBackViolates(t *testing.T) {
+	h := NewHistory()
+	id := h.Invoke(Put, "k", 1, at(0))
+	h.Return(id, OK, 0, at(10))
+	h.Invoke(Put, "k", 2, at(20)) // timed out: may or may not land
+	id = h.Invoke(Get, "k", 0, at(40))
+	h.Return(id, OK, ^uint64(0), at(50))
+	mustViolate(t, h, "k")
+}
+
 // An ambiguous write (timeout, StatusError) may have executed or not:
 // a later read is allowed to see it, to miss it — and once some read
 // HAS seen it, earlier state may not reappear.

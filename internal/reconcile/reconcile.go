@@ -29,9 +29,11 @@
 //	     within the configured bound: live machines agree on one ring,
 //	     its members are alive, the ring is at the declared size, and
 //	     every live machine runs the declared config version.
-//	C2 — no acked write lost across reconcile actions: delegated to the
-//	     fabric Ledger (R1/R2/R3); reconciliation rides the same staged-
-//	     ring/union-replication mechanism the ledger already audits.
+//	C2 — no acked write lost across reconcile actions: delegated to L1,
+//	     the linearizability check of the workload's client history
+//	     (internal/linearize); reconciliation rides the same staged-
+//	     ring/union-replication mechanism the fabric's own chaos
+//	     campaigns are judged on.
 //	C3 — disruption budget: voluntary disruption (cordons, shrink-for-
 //	     upgrade) never pushes serving capacity below
 //	     Size − MaxUnavailable − involuntary, sampled at probe ticks.
@@ -121,8 +123,8 @@ type Report struct {
 }
 
 // Clean reports whether the run upheld C1 and C3 and left no
-// divergence open. C2 is the fabric Ledger's verdict, judged by the
-// workload harness alongside this one.
+// divergence open. C2 is L1's verdict over the client history, judged
+// by the workload harness alongside this one.
 func (r Report) Clean() bool {
 	return r.C1Violations == 0 && r.C3Violations == 0 && r.OpenWindows == 0
 }

@@ -43,7 +43,7 @@ func newMachine(t *testing.T) *machine {
 // watchdog enables heartbeats at watchdog/4.
 func buildMachine(t *testing.T, watchdog sim.Duration) *machine {
 	t.Helper()
-	m := &machine{eng: sim.NewEngine(), tr: trace.New(0)}
+	m := &machine{eng: sim.NewEngine(), tr: trace.New()}
 	mem := physmem.MustNew(16 * 1024 * physmem.PageSize) // 64 MiB
 	m.fab = interconnect.NewFabric(m.eng, mem, interconnect.DefaultCosts)
 	busCfg := bus.DefaultConfig
